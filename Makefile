@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: help test bench bench-smoke bench-json docs-check typecheck lint
+.PHONY: help test bench bench-smoke bench-oracle bench-json docs-check typecheck lint
 
 help:
 	@echo "targets:"
@@ -18,6 +18,9 @@ help:
 	@echo "              class diffs (repro.batch), REPRO_CHAOS"
 	@echo "              degraded-completion leg (crash+hang injection,"
 	@echo "              quarantine, no-op resume) + warm-start speedup artifact"
+	@echo "  bench-oracle one round of every bench/ workload on the held-out"
+	@echo "              seed 7; fails when any class differs from the"
+	@echo "              all-accelerators-off oracle (timings not gated)"
 	@echo "  bench-json  distill benchmarks/results/*.txt into BENCH_4.json"
 	@echo "  docs-check  fail on dangling file references in README.md / DESIGN.md"
 	@echo "  typecheck   mypy --strict over the typed surface (mypy.ini files=)"
@@ -194,6 +197,14 @@ bench-smoke:
 	    benchmarks/test_warmstart_speedup.py -q
 	@echo "--- benchmarks/results/warmstart_speedup.txt:"
 	@cat benchmarks/results/warmstart_speedup.txt
+
+# The campaign benchmark's class oracle (bench/README.md) on its
+# held-out seed: one round per workload.  bench/run.py exits 1 when a
+# lane engine or a pruner classifies any fault differently from the
+# oracle, which was recorded with every accelerator off; the timings it
+# prints are informational and never gate.
+bench-oracle:
+	$(PYTHON) bench/run.py --seed 7
 
 bench-json:
 	$(PYTHON) tools/bench_summary.py

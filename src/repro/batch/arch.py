@@ -29,8 +29,9 @@ lanes in lockstep --
 
 Every event -- injection, digest comparison, classification -- happens
 at the same simulated cycle, in the same order, on the same state as
-the scalar :meth:`FaultRunner.run_one`, so the per-fault records are
-bit-identical; ``tests/test_batch_equivalence.py`` pins that.
+the scalar :meth:`FaultRunner.run_one`, and classification is the same
+outcome kernel (:mod:`repro.batch.engine`), so the per-fault records
+are bit-identical; ``tests/test_batch_equivalence.py`` pins that.
 
 The engine's deterministic cost metrics are :attr:`ArchLaneEngine
 .batch_cycles` (global stepped cycles summed over groups -- one shared
@@ -41,14 +42,13 @@ bytes; the peak-lane-memory bench asserts sub-linear growth in N).
 """
 
 import bisect
-import time
-import zlib
 
 import numpy as np
 
+from repro.batch.engine import LaneEngineBase, LaneGroup
 from repro.batch.memory import LanePagedMemory
 from repro.errors import SimFault
-from repro.injection.classify import FaultClass, FaultRecord, compare_traces
+from repro.injection.classify import FaultClass, RECONVERGED
 from repro.isa import valu
 from repro.isa.flags import Flags
 from repro.isa.instructions import (
@@ -62,7 +62,7 @@ from repro.isa.instructions import (
     UNARY_OPS,
 )
 from repro.isa.interp import Interpreter
-from repro.isa.syscalls import SyscallEmulator, SyscallError
+from repro.isa.syscalls import SyscallError
 from repro.sim.base import RunStatus, _crc
 
 MASK32 = 0xFFFFFFFF
@@ -71,7 +71,7 @@ MASK32 = 0xFFFFFFFF
 _IMM_MEM_OPS = (Op.LDR, Op.STR, Op.LDRB, Op.STRB, Op.LDRH, Op.STRH)
 
 
-class ArchLaneEngine:
+class ArchLaneEngine(LaneEngineBase):
     """Drive a :class:`FaultRunner`'s faults through vectorized groups.
 
     ``lanes`` is the fault-lane width N; each group additionally
@@ -79,133 +79,50 @@ class ArchLaneEngine:
     positionally aligned with ``specs`` (the caller's sample order).
     """
 
-    def __init__(self, runner, sim, lanes):
-        self.runner = runner
-        self.sim = sim
-        self.lanes = max(int(lanes), 1)
-        #: Global cycles the engine stepped (shared replay + shared
-        #: tails), the deterministic batch-cost metric.
-        self.batch_cycles = 0
-        #: High-water mark of copy-on-write page bytes over any one
-        #: group (the deterministic lane-memory metric; a dense lane
-        #: build would hold ``(N+1) * footprint`` here).
-        self.peak_lane_bytes = 0
-
     def run(self, specs):
-        records = [None] * len(specs)
         # Group faults by injection instant so each group's lanes share
         # one seek and overlap their post-injection windows.
         order = sorted(range(len(specs)),
                        key=lambda i: (specs[i].cycle, i))
-        for start in range(0, len(order), self.lanes):
-            chunk = order[start:start + self.lanes]
-            group = _LaneGroup(self, [(i, specs[i]) for i in chunk])
-            for index, record in group.run():
-                records[index] = record
-        return records
+        chunks = [order[start:start + self.lanes]
+                  for start in range(0, len(order), self.lanes)]
+        return self._run_groups(_LaneGroup, specs, chunks)
 
 
-class _LaneGroup:
+class _LaneGroup(LaneGroup):
     """One vectorized group: N fault lanes + the reference lane."""
 
-    def __init__(self, engine, items):
-        self.engine = engine
-        self.items = items  # [(original sample index, FaultSpec)]
-        runner = engine.runner
-        self.config = runner.config
-        self.golden = runner.golden
-        self.cache = runner.golden["cache"]
-        self.deadline = runner.hang_deadline
-
-    # -- group driver ------------------------------------------------------
-
-    def run(self):
-        cfg = self.config
-        sim = self.engine.sim
-        wall_start = time.perf_counter()
-        min_cycle = min(fault.cycle for _, fault in self.items)
-        _, self.restore_cycle = self.cache.seek(
-            sim, min_cycle, warm=cfg.warm_start, max_cycles=self.deadline)
-        status = sim.run(stop_cycle=min_cycle, max_cycles=self.deadline)
-        if status is not RunStatus.STOPPED:
-            # The golden run ends before the earliest injection instant;
-            # every later instant is past program end too, so the whole
-            # group lands in dead time (the scalar "after program end"
-            # outcome, lane for lane).
-            self.engine.batch_cycles += sim.cycle - self.restore_cycle
-            wall = (time.perf_counter() - wall_start) / len(self.items)
-            return [
-                (index, FaultRecord(
-                    fault, FaultClass.MASKED, "after program end",
-                    sim_cycles=0, wall_seconds=wall,
-                    replay_cycles=sim.cycle - self.restore_cycle))
-                for index, fault in self.items
-            ]
-        self._init_lanes(sim, sim.checkpoint())
-        self._events()
-        while self.pending:
-            self._step()
-        self.engine.batch_cycles += self.cycle - self.restore_cycle
-        self.engine.peak_lane_bytes = max(self.engine.peak_lane_bytes,
-                                          self.store.peak_bytes)
-        wall = (time.perf_counter() - wall_start) / len(self.items)
-        out = []
-        for k, (index, fault) in enumerate(self.items):
-            fclass, detail, sim_cycles, replay = self.records[k]
-            out.append((index, FaultRecord(
-                fault, fclass, detail, sim_cycles=sim_cycles,
-                wall_seconds=wall, replay_cycles=replay)))
-        return out
-
-    def _init_lanes(self, sim, cp):
-        count = len(self.items)
-        width = count + 1
-        self.ref = count
+    def _run_lanes(self, sim):
+        cp = sim.checkpoint()
+        width = self.width
         self.program = sim.program
         self.decode = self.program.decode_table()
         self.cpi = sim.core.cycles_per_inst
         self.regs = np.tile(np.array(cp["regs"], dtype=np.uint32),
                             (width, 1))
-        flags = Flags.unpack(cp["flags"])
-        self.n = np.full(width, flags.n, dtype=bool)
-        self.z = np.full(width, flags.z, dtype=bool)
-        self.c = np.full(width, flags.c, dtype=bool)
-        self.v = np.full(width, flags.v, dtype=bool)
+        self.n, self.z, self.c, self.v = self._flag_lanes(cp["flags"])
         self.pc = np.full(width, cp["pc"], dtype=np.uint32)
         #: All lane RAM views share the checkpoint image copy-on-write;
         #: the reference lane's stores update the shared overlay, fault
         #: lanes privatize pages only where their bytes actually differ.
         self.store = LanePagedMemory(cp["ram"], width, self.ref)
         self.ram_size = self.store.size
-        self.emus = []
-        for _ in range(width):
-            emu = SyscallEmulator()
-            emu.restore(cp["syscalls"])
-            self.emus.append(emu)
-        #: Golden pinout prefix at the group start (shared; each lane
-        #: appends only its own post-start transactions).
-        self.prefix_keys = [t.key() for t in cp["pinout"]]
-        self.keys = [[] for _ in range(width)]
+        # The reference lane runs its own syscalls and stores here.
+        self._lane_streams(cp["syscalls"], cp["pinout"], width)
         self.halted = np.zeros(width, dtype=bool)
         self.sfaults = [None] * width
         self.diverged = {}
         self.cycle = cp["cycle"]
         self.icount = cp["icount"]
-        # Per fault-lane campaign bookkeeping.
-        self.faults = [fault for _, fault in self.items]
-        self.injected = [False] * count
-        self.replay = [0] * count
-        self.ends = [
-            None if self.config.window is None
-            else fault.cycle + self.config.window
-            for fault in self.faults
-        ]
+        # Per fault-lane early-stop bookkeeping.
         self.early = (self.config.early_stop and type(sim).DRAIN_FREE
                       and self.cache.collect_digests)
-        self.check = [False] * count
-        self.nb = [0] * count
-        self.pending = set(range(count))
-        self.records = [None] * count
+        self.check = [False] * len(self.faults)
+        self.nb = [0] * len(self.faults)
+        self._events()
+        while self.pending:
+            self._step()
+        return self.cycle
 
     def _step(self):
         """One global lockstep cycle: vector step the convergent lanes
@@ -254,8 +171,7 @@ class _LaneGroup:
         interp = Interpreter(self.program)
         interp.ram.restore(self.store.compose(k))
         interp.regs.restore([int(x) for x in self.regs[k]])
-        interp.flags = Flags(n=bool(self.n[k]), z=bool(self.z[k]),
-                             c=bool(self.c[k]), v=bool(self.v[k]))
+        interp.flags = Flags.unpack(self._flag_pack(k))
         interp.pc = int(self.pc[k])
         interp.inst_count = self.icount
         interp.syscalls = self.emus[k]
@@ -273,46 +189,30 @@ class _LaneGroup:
     # -- the campaign event pass -------------------------------------------
 
     def _events(self):
-        """Per-lane replica of the scalar run loop's check order at one
-        cycle instant: exited -> machine fault -> digest boundary ->
-        window end -> watchdog; uninjected lanes inject (or retire into
-        dead time) first, exactly like ``run_one``'s pre-injection
-        advance."""
-        cyc = self.cycle
+        """The scalar run loop's check order at one cycle instant, per
+        lane: exited -> machine fault -> digest boundary -> window end
+        -> watchdog; uninjected lanes inject (or retire into dead time)
+        first, exactly like ``run_one``'s pre-injection advance."""
         for k in sorted(self.pending):
-            fault = self.faults[k]
-            if not self.injected[k]:
-                if self._lane_halted(k):
-                    self._retire(k, FaultClass.MASKED, "after program end",
-                                 sim_cycles=0,
-                                 replay=cyc - self.restore_cycle)
-                    continue
-                if cyc < fault.cycle:
-                    continue
-                self._inject(k)
-            if self._lane_halted(k):
-                fclass, detail = self._classify(k, RunStatus.EXITED)
-                self._retire(k, fclass, detail)
+            halted = self._lane_halted(k)
+            if not self._arm(k, halted):
                 continue
-            latched = self._lane_fault(k)
+            if halted:
+                self._conclude(k, RunStatus.EXITED)
+                continue
+            latched = self.sfaults[k]
             if latched is not None:
-                self._retire(k, FaultClass.DUE, str(latched))
+                self._conclude(k, RunStatus.FAULT, machine_fault=latched)
                 continue
             if self.check[k]:
-                self._boundary_events(k, cyc)
+                self._boundary_events(k, self.cycle)
                 if k not in self.pending:
                     continue
-            end = self.ends[k]
-            if end is not None and cyc >= end:
-                fclass, detail = self._classify(k, RunStatus.STOPPED)
-                self._retire(k, fclass, detail)
-                continue
-            if cyc >= self.deadline:
-                self._retire(k, FaultClass.HANG, "watchdog expired")
+            self._expire(k)
 
     def _boundary_events(self, k, cyc):
         """The early-stop comparator at golden checkpoint boundaries
-        (mirrors ``FaultRunner._finish``: boundaries at or past the
+        (as in ``FaultRunner._finish``: boundaries at or past the
         window end are never compared)."""
         cache = self.cache
         end = self.ends[k]
@@ -326,44 +226,26 @@ class _LaneGroup:
                        and self._digest(k) == cache.digests[self.nb[k]])
             self.nb[k] += 1
             if matched:
-                self._retire(k, FaultClass.MASKED,
-                             "re-converged with golden")
+                self._retire(k, FaultClass.MASKED, RECONVERGED)
                 return
 
     def _inject(self, k):
-        fault = self.faults[k]
-        self.injected[k] = True
-        self.replay[k] = self.cycle - self.restore_cycle
-        if fault.structure == "cpsr":
-            pack = self._lane_flag_pack(k) ^ (1 << fault.bit)
-            flags = Flags.unpack(pack)
-            interp = self.diverged.get(k)
-            if interp is not None:  # pre-injection lanes never diverge
-                interp.flags = flags
-            else:
-                self.n[k] = flags.n
-                self.z[k] = flags.z
-                self.c[k] = flags.c
-                self.v[k] = flags.v
-        else:  # regfile
-            reg, bit = divmod(fault.bit, 32)
-            self.regs[k, reg] ^= np.uint32(1 << bit)
+        # Pre-injection lanes never diverge: the flip lands in the lane
+        # arrays.
+        super()._inject(k)
         if self.early:
             self.check[k] = True
             self.nb[k] = bisect.bisect_right(self.cache.cycles,
-                                             fault.cycle)
+                                             self.faults[k].cycle)
 
-    def _retire(self, k, fclass, detail, sim_cycles=None, replay=None):
-        if sim_cycles is None:
-            sim_cycles = self.cycle - self.faults[k].cycle
-        if replay is None:
-            replay = self.replay[k]
-        self.records[k] = (fclass, detail, sim_cycles, replay)
-        self.pending.discard(k)
+    def _release(self, k):
+        super()._release(k)
         self.diverged.pop(k, None)
-        self.store.release(k)
 
     # -- per-lane observation ----------------------------------------------
+
+    def _lane_arrays(self):
+        return self.regs, self.n, self.z, self.c, self.v
 
     def _lane_halted(self, k):
         interp = self.diverged.get(k)
@@ -371,90 +253,30 @@ class _LaneGroup:
             return interp.halted
         return bool(self.halted[k])
 
-    def _lane_fault(self, k):
-        return self.sfaults[k]
-
-    def _lane_flag_pack(self, k):
+    def _lane_state(self, k):
+        """Lane ``k``'s ``(regs r0-r14, flag pack, pc, icount, RAM
+        image)``: from its private interpreter once diverged, else from
+        the lane arrays (the RAM image composed from the paged store --
+        page-granular storage with full-image observation)."""
         interp = self.diverged.get(k)
         if interp is not None:
-            return interp.flags.pack()
-        return ((int(self.n[k]) << 3) | (int(self.z[k]) << 2)
-                | (int(self.c[k]) << 1) | int(self.v[k]))
+            return (interp.regs.snapshot()[:15], interp.flags.pack(),
+                    interp.pc, interp.inst_count, interp.ram.snapshot())
+        return (self.regs[k, :15], self._flag_pack(k), int(self.pc[k]),
+                self.icount, self.store.compose(k))
 
-    def _lane_output(self, k):
-        return bytes(self.emus[k].output)
-
-    def _lane_keys(self, k):
-        return self.prefix_keys + self.keys[k]
+    def _arch_view(self, k):
+        regs, flags, _, _, ram = self._lane_state(k)
+        return regs, flags, ram
 
     def _digest(self, k):
         """Bit-compatible with ``SimulatorBase.state_digest()`` on the
-        arch backend (a live, unfaulted, unexited lane).  The RAM term
-        hashes the *composed* lane image -- page-granular storage with
-        full-image observation, so the PR 3 early-stop argument is
-        unchanged."""
-        interp = self.diverged.get(k)
-        if interp is not None:
-            regs = tuple(interp.regs.snapshot()[:15])
-            flags = interp.flags.pack()
-            pc = interp.pc
-            ram = interp.ram.snapshot()
-            syscalls = interp.syscalls.snapshot()
-            icount = interp.inst_count
-        else:
-            regs = tuple(int(x) for x in self.regs[k, :15])
-            flags = self._lane_flag_pack(k)
-            pc = int(self.pc[k])
-            ram = self.store.compose(k)
-            syscalls = self.emus[k].snapshot()
-            icount = self.icount
-        return (self.cycle, icount, False, True, regs, flags, pc,
-                _crc(ram), syscalls, _crc(self._lane_keys(k)), ())
-
-    def _hw_state(self, k):
-        """Mirror of ``observation.hardware_state_digest`` for a lane
-        (the arch tier has no caches: RAM is the coherent image)."""
-        interp = self.diverged.get(k)
-        if interp is not None:
-            regs = tuple(interp.regs.snapshot()[:15])
-            flags = interp.flags.pack()
-            ram = interp.ram.snapshot()
-        else:
-            regs = tuple(int(x) for x in self.regs[k, :15])
-            flags = self._lane_flag_pack(k)
-            ram = self.store.compose(k)
-        return ((regs, flags), zlib.crc32(bytes(ram)) & 0xFFFFFFFF)
-
-    def _classify(self, k, status):
-        """Replica of ``FaultRunner._classify`` over lane state (DUE
-        and HANG are handled at the event-pass call sites)."""
-        cfg = self.config
-        golden = self.golden
-        output = self._lane_output(k)
-        if cfg.observation == "software":
-            if status is RunStatus.EXITED:
-                if output == golden["output"]:
-                    return FaultClass.MASKED, ""
-                return FaultClass.SDC, "program output differs"
-            if golden["output"].startswith(output):
-                return FaultClass.MASKED, "window expired, prefix clean"
-            return FaultClass.SDC, "output prefix differs"
-        if cfg.observation == "arch":
-            if output != golden["output"]:
-                return FaultClass.SDC, "program output differs"
-            if self._hw_state(k) != golden["hw_state"]:
-                return FaultClass.LATENT, "hardware state differs"
-            return FaultClass.MASKED, ""
-        trace_base = self.cache.trace_base(self.faults[k].cycle)
-        golden_suffix = golden["pinout_keys"][trace_base:]
-        faulty_suffix = self._lane_keys(k)[trace_base:]
-        if status is RunStatus.EXITED:
-            match = faulty_suffix == golden_suffix
-        else:
-            match = compare_traces(golden_suffix, faulty_suffix)
-        if match:
-            return FaultClass.MASKED, ""
-        return FaultClass.MISMATCH, "pinout trace deviates"
+        arch backend (a live, unfaulted, unexited lane), so the digest
+        early-stop argument (DESIGN.md) is unchanged."""
+        regs, flags, pc, icount, ram = self._lane_state(k)
+        return (self.cycle, icount, False, True,
+                tuple(int(r) for r in regs), flags, pc, _crc(ram),
+                self.emus[k].snapshot(), _crc(self._lane_keys(k)), ())
 
     # -- vectorized execution ----------------------------------------------
 
@@ -706,14 +528,9 @@ class _LaneGroup:
 
     def _exec_svc(self, inst, doers):
         for k in doers.tolist():
-            if k == self.ref:
-                self._ref_svc(inst)
-                continue
-            self._lane_svc(inst, k)
+            self._lane_svc(inst, k, ref=k == self.ref)
 
-    def _lane_svc(self, inst, k, ref=False):
-        from repro.isa.syscalls import SyscallError
-
+    def _lane_svc(self, inst, k, ref):
         def read_reg(i, _k=k):
             return int(self.regs[_k, i])
 
@@ -725,22 +542,14 @@ class _LaneGroup:
 
         try:
             result = self.emus[k].handle(inst.imm, read_reg, read_byte)
-        except SyscallError as exc:
-            fault = SimFault("syscall-error", str(exc), addr=inst.addr)
+        except (SyscallError, SimFault) as exc:
+            fault = exc if isinstance(exc, SimFault) else SimFault(
+                "syscall-error", str(exc), addr=inst.addr)
             if ref:
                 raise AssertionError(
                     f"reference lane raised {fault}") from exc
             self.sfaults[k] = fault
             return
-        except SimFault as exc:
-            if ref:
-                raise AssertionError(
-                    f"reference lane raised {exc}") from exc
-            self.sfaults[k] = exc
-            return
         self.regs[k, 0] = np.uint32(result & MASK32)
         if self.emus[k].exited:
             self.halted[k] = True
-
-    def _ref_svc(self, inst):
-        self._lane_svc(inst, self.ref, ref=True)

@@ -16,9 +16,9 @@ stream, but the register file, CPSR and every in-flight data value
 become ``(N+1,)`` lane arrays over :mod:`repro.isa.valu` kernels (lane
 ``N`` is the fault-free **reference** whose scalars drive the real
 caches).  Lane RAM views share one copy-on-write
-:class:`~repro.batch.memory.LanePagedMemory` seeded from the coherent
-flat image (RAM overlaid with dirty D-cache lines, exactly the
-``observation.memory_digest`` view).
+:class:`~repro.batch.memory.LanePagedMemory` seeded from
+:func:`~repro.injection.observation.coherent_image` (RAM overlaid with
+dirty D-cache lines, exactly the view the memory digest hashes).
 
 Every control-deciding value is **enforced**: the lane values are
 compared against the reference and any injected lane that disagrees is
@@ -28,8 +28,10 @@ which also owns every DUE outcome (a machine fault *is* control
 divergence).  Surviving lanes therefore share the reference control
 stream cycle for cycle, which is what makes their pinout traces,
 syscall outputs and hardware state exactly what their scalar runs
-would produce; ``tests/test_batch_rtl_equivalence.py`` pins the
-records bit-identical across the matrix.
+would produce, and the outcome kernel they are classified through is
+the scalar path's own (:mod:`repro.batch.engine`);
+``tests/test_batch_rtl_equivalence.py`` pins the records bit-identical
+across the matrix.
 
 Groups are formed per golden checkpoint segment
 (:meth:`CheckpointCache.boundary_at_or_before`): the RT-level seek is
@@ -39,16 +41,13 @@ faults (``l1d.*``/``l1i.*``) mutate the shared cache model itself and
 always take the scalar path.
 """
 
-import time
-import zlib
-
 import numpy as np
 
+from repro.batch.engine import LaneEngineBase, LaneGroup
 from repro.batch.memory import LanePagedMemory
 from repro.errors import SimFault
-from repro.injection.classify import FaultClass, FaultRecord, compare_traces
+from repro.injection.observation import coherent_image
 from repro.isa import valu
-from repro.isa.flags import Flags
 from repro.isa.instructions import (
     COMPARE_OPS,
     Cond,
@@ -61,7 +60,7 @@ from repro.isa.instructions import (
     STORE_OPS,
     UNARY_OPS,
 )
-from repro.isa.syscalls import SyscallEmulator, SyscallError
+from repro.isa.syscalls import SyscallError
 from repro.rtl.core import RTLCore, _PC
 from repro.sim.base import RunStatus
 
@@ -75,26 +74,14 @@ _IMM_MEM_OPS = (Op.LDR, Op.STR, Op.LDRB, Op.STRB, Op.LDRH, Op.STRH)
 _VECTOR_STRUCTURES = ("regfile", "cpsr")
 
 
-class RTLLaneEngine:
+class RTLLaneEngine(LaneEngineBase):
     """Drive a :class:`FaultRunner`'s rtl faults through lane groups.
 
     ``run()`` returns records positionally aligned with ``specs`` and
     bit-identical to the scalar :meth:`FaultRunner.run_one` sequence.
     """
 
-    def __init__(self, runner, sim, lanes):
-        self.runner = runner
-        self.sim = sim
-        self.lanes = max(int(lanes), 1)
-        #: Global cycles actually stepped (shared pre-injection replay
-        #: + shared tail per group, plus scalar-path replay+sim), the
-        #: deterministic batch-cost metric.
-        self.batch_cycles = 0
-        #: High-water copy-on-write page bytes over any one group.
-        self.peak_lane_bytes = 0
-
     def run(self, specs):
-        records = [None] * len(specs)
         vector = [i for i, s in enumerate(specs)
                   if s.structure in _VECTOR_STRUCTURES]
         vector.sort(key=lambda i: (specs[i].cycle, i))
@@ -107,85 +94,31 @@ class RTLLaneEngine:
                 groups[-1][1].append(i)
             else:
                 groups.append((boundary, [i]))
-        for _, chunk in groups:
-            group = _RTLLaneGroup(self, [(i, specs[i]) for i in chunk])
-            for index, record in group.run():
-                records[index] = record
-        for i, spec in enumerate(specs):
-            if records[i] is None:
-                records[i] = self.run_scalar(spec)
-        return records
-
-    def run_scalar(self, fault):
-        """The untouched per-fault path (cache-array faults and lanes
-        dropped on control divergence)."""
-        record = self.runner.run_one(self.sim, fault)
-        self.batch_cycles += record.replay_cycles + record.sim_cycles
-        return record
+        return self._run_groups(_RTLLaneGroup, specs,
+                                [chunk for _, chunk in groups])
 
 
-class _RTLLaneGroup:
+class _RTLLaneGroup(LaneGroup):
     """One same-segment group: N fault lanes + the reference lane."""
 
-    def __init__(self, engine, items):
-        self.engine = engine
-        self.items = items  # [(original sample index, FaultSpec)]
-        runner = engine.runner
-        self.config = runner.config
-        self.golden = runner.golden
-        self.cache = runner.golden["cache"]
-        self.deadline = runner.hang_deadline
+    @property
+    def cycle(self):
+        return self.core.cycle
 
-    # -- group driver --------------------------------------------------
-
-    def run(self):
-        cfg = self.config
-        sim = self.engine.sim
-        wall_start = time.perf_counter()
-        min_cycle = min(fault.cycle for _, fault in self.items)
-        _, self.restore_cycle = self.cache.seek(
-            sim, min_cycle, warm=cfg.warm_start, max_cycles=self.deadline)
-        status = sim.run(stop_cycle=min_cycle, max_cycles=self.deadline)
-        if status is not RunStatus.STOPPED:
-            # The golden run ends before the earliest injection instant;
-            # every lane of the group lands in dead time.
-            self.engine.batch_cycles += sim.cycle - self.restore_cycle
-            wall = (time.perf_counter() - wall_start) / len(self.items)
-            return [
-                (index, FaultRecord(
-                    fault, FaultClass.MASKED, "after program end",
-                    sim_cycles=0, wall_seconds=wall,
-                    replay_cycles=sim.cycle - self.restore_cycle))
-                for index, fault in self.items
-            ]
+    def _run_lanes(self, sim):
         self._adopt(sim)
         core = self.core
         self._attach(sim)
         try:
             self._events()
-            while self.vector_pending:
+            while self.pending:
                 core.tick()
                 assert core.fault is None, (
                     f"reference control path latched {core.fault}")
                 self._events()
         finally:
             self._detach(sim)
-        self.engine.batch_cycles += core.cycle - self.restore_cycle
-        self.engine.peak_lane_bytes = max(self.engine.peak_lane_bytes,
-                                          self.store.peak_bytes)
-        wall = (time.perf_counter() - wall_start) / len(self.items)
-        out = []
-        for k, (index, fault) in enumerate(self.items):
-            if self.records[k] is None:
-                # Dropped on control divergence: the scalar rerun owns
-                # the record (run_one sets its own wall seconds).
-                out.append((index, self.engine.run_scalar(fault)))
-                continue
-            fclass, detail, sim_cycles, replay = self.records[k]
-            out.append((index, FaultRecord(
-                fault, fclass, detail, sim_cycles=sim_cycles,
-                wall_seconds=wall, replay_cycles=replay)))
-        return out
+        return core.cycle
 
     def _adopt(self, sim):
         """Take over the live mid-flight core as a lane core.
@@ -195,43 +128,14 @@ class _RTLLaneGroup:
         file, CPSR and RAM view become per-lane.  ``sim.core`` is left
         untouched -- the next ``seek()`` restores a fresh scalar core.
         """
-        count = len(self.items)
-        self.width = count + 1
-        self.ref = count
-        self.faults = [fault for _, fault in self.items]
-        self.vector_pending = set(range(count))
         #: Injected lanes, i.e. the ones divergence enforcement watches.
         self.checked = set()
-        self.injected = [False] * count
-        self.replay = [0] * count
-        self.records = [None] * count
-        self.ends = [
-            None if self.config.window is None
-            else fault.cycle + self.config.window
-            for fault in self.faults
-        ]
-        # The coherent flat image: RAM overlaid with valid+dirty D-cache
-        # lines -- exactly the view observation.memory_digest hashes.
-        image = bytearray(sim.ram.data)
-        dcache = sim.dcache
-        geom = dcache.config
-        for index in range(geom.sets):
-            for way in range(geom.ways):
-                if dcache.valid[index, way] and dcache.dirty[index, way]:
-                    base = dcache._line_base(index, way)
-                    image[base:base + geom.line_size] = (
-                        dcache.data[index, way].tobytes())
-        self.store = LanePagedMemory(image, self.width, self.ref)
-        snap = sim.core.syscalls.snapshot()
-        self.emus = []
-        for _ in range(count):
-            emu = SyscallEmulator()
-            emu.restore(snap)
-            self.emus.append(emu)
-        #: Golden pinout prefix at the group start (shared; each lane
-        #: appends only its own post-start transactions).
-        self.prefix_keys = [t.key() for t in sim.pinout]
-        self.keys = [[] for _ in range(count)]
+        # The coherent flat image -- exactly the view the scalar memory
+        # digest hashes.
+        self.store = LanePagedMemory(coherent_image(sim.ram, (sim.dcache,)),
+                                     self.width, self.ref)
+        self._lane_streams(sim.core.syscalls.snapshot(), sim.pinout,
+                           len(self.items))
         core = sim.core
         lane = _LaneCore.__new__(_LaneCore)
         lane.__dict__.update(core.__dict__)
@@ -240,11 +144,7 @@ class _RTLLaneGroup:
         lane.ref = self.ref
         lane.trace = None  # per-tick signal sampling is scalar-only
         lane.rf = _LaneRegFile(core.rf, self.width)
-        flags = Flags.unpack(core.rf.cpsr)
-        lane.ln = np.full(self.width, flags.n, dtype=bool)
-        lane.lz = np.full(self.width, flags.z, dtype=bool)
-        lane.lc = np.full(self.width, flags.c, dtype=bool)
-        lane.lv = np.full(self.width, flags.v, dtype=bool)
+        lane.ln, lane.lz, lane.lc, lane.lv = self._flag_lanes(core.rf.cpsr)
         self.core = lane
 
     # -- bus-beat fan-out ----------------------------------------------
@@ -267,18 +167,18 @@ class _RTLLaneGroup:
         carry lane bytes, read through the copy-on-write store."""
         def beat(kind, addr, data, cycle):
             real(kind, addr, data, cycle)
-            if not self.vector_pending:
+            if not self.pending:
                 return
             if kind == "wb":
                 n = len(data)
                 assert self.store.view_bytes(self.ref, addr, n) == \
                     bytes(data), "reference lane memory out of sync"
-                for k in sorted(self.vector_pending):
+                for k in sorted(self.pending):
                     self.keys[k].append(
                         ("wb", addr, self.store.view_bytes(k, addr, n)))
             else:
                 key = (kind, addr, b"")
-                for k in sorted(self.vector_pending):
+                for k in sorted(self.pending):
                     self.keys[k].append(key)
         return beat
 
@@ -292,7 +192,7 @@ class _RTLLaneGroup:
             "reference lane memory out of sync"
         out = np.full(self.width, ref_value, dtype=np.uint32)
         p = addr >> store._shift
-        for k in self.vector_pending:
+        for k in self.pending:
             if p in store.lane_pages[k]:
                 out[k] = store.read(k, addr, size)
         return out
@@ -302,7 +202,7 @@ class _RTLLaneGroup:
         (the reference write keeps the shared overlay coherent with the
         real cache the scalar access just updated)."""
         mask = (1 << (8 * size)) - 1
-        writers = sorted(self.vector_pending)
+        writers = sorted(self.pending)
         writers.append(self.ref)
         if isinstance(values, np.ndarray):
             vals = [int(values[k]) & mask for k in writers]
@@ -322,121 +222,45 @@ class _RTLLaneGroup:
         ref_value = int(arr[self.ref])
         for k in list(self.checked):
             if int(arr[k]) != ref_value:
-                self._drop(k)
+                self._release(k)
         return ref_value
 
-    def _drop(self, k):
-        """Lane ``k`` left the reference control path: free its pages
-        and leave its record to the scalar rerun."""
-        self.vector_pending.discard(k)
+    def _release(self, k):
+        """Also drops a lane that left the reference control path: it
+        leaves the vector with no record, so the scalar rerun owns it."""
+        super()._release(k)
         self.checked.discard(k)
-        self.store.release(k)
 
     # -- the campaign event pass ---------------------------------------
 
     def _events(self):
-        """Per-lane replica of the scalar run loop's check order at one
-        cycle instant: exited -> window end -> watchdog (machine faults
-        never reach the vector path -- they require an enforced
-        divergence first, which drops the lane)."""
-        core = self.core
-        cyc = core.cycle
-        for k in sorted(self.vector_pending):
-            fault = self.faults[k]
-            if not self.injected[k]:
-                if core.exited:
-                    self._retire(k, FaultClass.MASKED,
-                                 "after program end", sim_cycles=0,
-                                 replay=cyc - self.restore_cycle)
-                    continue
-                if cyc < fault.cycle:
-                    continue
-                self._inject(k)
-            if core.exited:
-                fclass, detail = self._classify(k, RunStatus.EXITED)
-                self._retire(k, fclass, detail)
+        """The scalar run loop's check order at one cycle instant, per
+        lane: exited -> window end -> watchdog (machine faults never
+        reach the vector path -- they require an enforced divergence
+        first, which drops the lane)."""
+        exited = self.core.exited
+        for k in sorted(self.pending):
+            if not self._arm(k, exited):
                 continue
-            end = self.ends[k]
-            if end is not None and cyc >= end:
-                fclass, detail = self._classify(k, RunStatus.STOPPED)
-                self._retire(k, fclass, detail)
+            if exited:
+                self._conclude(k, RunStatus.EXITED)
                 continue
-            if cyc >= self.deadline:
-                self._retire(k, FaultClass.HANG, "watchdog expired")
+            self._expire(k)
 
     def _inject(self, k):
-        fault = self.faults[k]
-        core = self.core
-        self.injected[k] = True
-        self.replay[k] = core.cycle - self.restore_cycle
-        if fault.structure == "cpsr":
-            pack = self._lane_flag_pack(k) ^ (1 << fault.bit)
-            flags = Flags.unpack(pack)
-            core.ln[k] = flags.n
-            core.lz[k] = flags.z
-            core.lc[k] = flags.c
-            core.lv[k] = flags.v
-        else:  # regfile (banked/spare entries included)
-            reg, bit = divmod(fault.bit, 32)
-            core.rf.lregs[k, reg] ^= np.uint32(1 << bit)
+        super()._inject(k)
         self.checked.add(k)
-
-    def _retire(self, k, fclass, detail, sim_cycles=None, replay=None):
-        if sim_cycles is None:
-            sim_cycles = self.core.cycle - self.faults[k].cycle
-        if replay is None:
-            replay = self.replay[k]
-        self.records[k] = (fclass, detail, sim_cycles, replay)
-        self.vector_pending.discard(k)
-        self.checked.discard(k)
-        self.store.release(k)
 
     # -- per-lane observation ------------------------------------------
 
-    def _lane_flag_pack(self, k):
+    def _lane_arrays(self):
         core = self.core
-        return ((int(core.ln[k]) << 3) | (int(core.lz[k]) << 2)
-                | (int(core.lc[k]) << 1) | int(core.lv[k]))
+        return core.rf.lregs, core.ln, core.lz, core.lc, core.lv
 
-    def _hw_state(self, k):
-        """Mirror of ``observation.hardware_state_digest`` for a lane:
-        the architectural registers plus the CRC of the coherent memory
-        image (the composed lane view *is* RAM + dirty lines)."""
-        core = self.core
-        regs = tuple(int(x) for x in core.rf.lregs[k, :15])
-        return ((regs, self._lane_flag_pack(k)),
-                zlib.crc32(self.store.compose(k)) & 0xFFFFFFFF)
-
-    def _classify(self, k, status):
-        """Replica of ``FaultRunner._classify`` over lane state (DUE
-        and HANG are handled at the event-pass call sites)."""
-        cfg = self.config
-        golden = self.golden
-        output = bytes(self.emus[k].output)
-        if cfg.observation == "software":
-            if status is RunStatus.EXITED:
-                if output == golden["output"]:
-                    return FaultClass.MASKED, ""
-                return FaultClass.SDC, "program output differs"
-            if golden["output"].startswith(output):
-                return FaultClass.MASKED, "window expired, prefix clean"
-            return FaultClass.SDC, "output prefix differs"
-        if cfg.observation == "arch":
-            if output != golden["output"]:
-                return FaultClass.SDC, "program output differs"
-            if self._hw_state(k) != golden["hw_state"]:
-                return FaultClass.LATENT, "hardware state differs"
-            return FaultClass.MASKED, ""
-        trace_base = self.cache.trace_base(self.faults[k].cycle)
-        golden_suffix = golden["pinout_keys"][trace_base:]
-        faulty_suffix = (self.prefix_keys + self.keys[k])[trace_base:]
-        if status is RunStatus.EXITED:
-            match = faulty_suffix == golden_suffix
-        else:
-            match = compare_traces(golden_suffix, faulty_suffix)
-        if match:
-            return FaultClass.MASKED, ""
-        return FaultClass.MISMATCH, "pinout trace deviates"
+    def _arch_view(self, k):
+        # The composed lane view *is* RAM + dirty lines.
+        return (self.core.rf.lregs[k, :15], self._flag_pack(k),
+                self.store.compose(k))
 
 
 class _LaneRegFile:
@@ -728,7 +552,7 @@ class _LaneCore(RTLCore):
             raise SimFault("syscall-error", str(exc),
                            addr=uop.pc) from exc
         results = np.full(self.width, result & MASK32, dtype=np.uint32)
-        for k in sorted(group.vector_pending):
+        for k in sorted(group.pending):
             def lane_read_byte(addr, _k=k):
                 return group.store.read_byte(_k, addr)
             try:
@@ -738,7 +562,7 @@ class _LaneCore(RTLCore):
                 # A lane-only syscall failure is control divergence the
                 # enforced operands could not see (corrupted buffer
                 # bytes): drop to the scalar path.
-                group._drop(k)
+                group._release(k)
                 continue
             results[k] = np.uint32(lane_result & MASK32)
         uop.results[0] = results

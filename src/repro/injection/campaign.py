@@ -38,10 +38,12 @@ from repro.errors import CampaignInterrupted
 from repro.injection import faults as fault_mod
 from repro.injection.checkpoint_cache import CheckpointCache
 from repro.injection.classify import (
+    AFTER_PROGRAM_END,
     FaultClass,
     FaultRecord,
     Incident,
-    compare_traces,
+    RECONVERGED,
+    classify_outcome,
 )
 from repro.injection.distributions import make_distribution, make_rng
 from repro.injection.observation import hardware_state_digest
@@ -100,8 +102,10 @@ class CampaignConfig:
                                        or not isinstance(batch_size, int)
                                        or batch_size < 1):
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        if batch_lanes is None or batch_lanes < 1:
-            raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
+        if (isinstance(batch_lanes, bool) or not isinstance(batch_lanes, int)
+                or batch_lanes < 1):
+            raise ValueError(
+                f"batch_lanes must be an integer >= 1, got {batch_lanes!r}")
         if checkpoint_bound is not None and checkpoint_bound < 1:
             raise ValueError(
                 f"checkpoint_bound must be >= 1 or None, got "
@@ -515,38 +519,50 @@ class FaultRunner:
         trajectory in between, so the pre-injection state -- and hence
         the classification -- is identical either way.
         """
-        cfg = self.config
         run_start = time.perf_counter()
-        cache = self.golden["cache"]
-        trace_base, restore_cycle = cache.seek(
-            sim, fault.cycle, warm=cfg.warm_start,
-            max_cycles=self.hang_deadline,
-        )
-        status = sim.run(stop_cycle=fault.cycle,
-                         max_cycles=self.hang_deadline)
-        if status is not RunStatus.STOPPED:
-            # The restored run ended before the injection instant (drain
-            # jitter near program end): the fault lands in dead time and
-            # cannot corrupt anything.
-            return FaultRecord(
-                fault, FaultClass.MASKED, "after program end",
-                sim_cycles=0,
-                wall_seconds=time.perf_counter() - run_start,
-                replay_cycles=sim.cycle - restore_cycle,
-            )
+        trace_base, restore_cycle, reached = self.advance(sim, fault.cycle)
         replay_cycles = sim.cycle - restore_cycle
+        if not reached:
+            return FaultRecord(
+                fault, FaultClass.MASKED, AFTER_PROGRAM_END, sim_cycles=0,
+                wall_seconds=time.perf_counter() - run_start,
+                replay_cycles=replay_cycles,
+            )
         sim.inject(fault.structure, fault.bit)
         status, converged = self._finish(sim, fault)
         if converged:
-            fclass, detail = FaultClass.MASKED, "re-converged with golden"
+            fclass, detail = FaultClass.MASKED, RECONVERGED
         else:
-            fclass, detail = self._classify(sim, status, trace_base)
+            fclass, detail = classify_outcome(
+                status, self.config.observation, self.golden,
+                output=sim.output,
+                hw_state=lambda: hardware_state_digest(sim),
+                pinout_suffix=lambda: [t.key()
+                                       for t in sim.pinout[trace_base:]],
+                trace_base=trace_base, machine_fault=sim.fault,
+            )
         return FaultRecord(
             fault, fclass, detail,
             sim_cycles=sim.cycle - fault.cycle,
             wall_seconds=time.perf_counter() - run_start,
             replay_cycles=replay_cycles,
         )
+
+    def advance(self, sim, cycle):
+        """Seek the golden checkpoint serving ``cycle`` and run up to it.
+
+        Returns ``(trace_base, restore_cycle, reached)``.  ``reached``
+        is False when the restored run ended first (drain jitter near
+        program end): a fault at ``cycle`` lands in dead time and
+        cannot corrupt anything.  The lane engines share this preamble
+        for a whole group, up to its earliest injection instant.
+        """
+        trace_base, restore_cycle = self.golden["cache"].seek(
+            sim, cycle, warm=self.config.warm_start,
+            max_cycles=self.hang_deadline,
+        )
+        status = sim.run(stop_cycle=cycle, max_cycles=self.hang_deadline)
+        return trace_base, restore_cycle, status is RunStatus.STOPPED
 
     def _finish(self, sim, fault):
         """Run the post-injection tail.  Returns ``(status, converged)``.
@@ -581,43 +597,6 @@ class FaultRunner:
             return sim.run(stop_cycle=end,
                            max_cycles=self.hang_deadline), False
         return sim.run(max_cycles=self.hang_deadline), False
-
-    def _classify(self, sim, status, trace_base):
-        cfg = self.config
-        golden = self.golden
-        if status is RunStatus.FAULT:
-            return FaultClass.DUE, str(sim.fault)
-        if status is RunStatus.TIMEOUT:
-            return FaultClass.HANG, "watchdog expired"
-        if cfg.observation == "software":
-            if status is RunStatus.EXITED:
-                if sim.output == golden["output"]:
-                    return FaultClass.MASKED, ""
-                return FaultClass.SDC, "program output differs"
-            # Window expired before program end: compare the prefix.
-            if golden["output"].startswith(sim.output):
-                return FaultClass.MASKED, "window expired, prefix clean"
-            return FaultClass.SDC, "output prefix differs"
-        if cfg.observation == "arch":
-            # HVF-style layer boundary: output first, then latent state.
-            if sim.output != golden["output"]:
-                return FaultClass.SDC, "program output differs"
-            if hardware_state_digest(sim) != golden["hw_state"]:
-                return FaultClass.LATENT, "hardware state differs"
-            return FaultClass.MASKED, ""
-        # Pinout observation: strictly the write-back/refill traffic at
-        # the core pins, as in the paper.  Silent corruption that never
-        # reaches the pins is invisible here -- that blindness is the
-        # paper's Fig. 2 finding, so the observation stays pure.
-        golden_suffix = golden["pinout_keys"][trace_base:]
-        faulty_suffix = [t.key() for t in sim.pinout[trace_base:]]
-        if status is RunStatus.EXITED:
-            match = faulty_suffix == golden_suffix
-        else:
-            match = compare_traces(golden_suffix, faulty_suffix)
-        if match:
-            return FaultClass.MASKED, ""
-        return FaultClass.MISMATCH, "pinout trace deviates"
 
 
 def run_serial(sim, runner, specs, progress=None, on_batch=None):

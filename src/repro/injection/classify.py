@@ -19,9 +19,26 @@ MISMATCH   no      pinout/signal trace deviated from golden
 LATENT     no      hardware state corrupted, output clean
                    (HVF-style "arch" observation point only)
 ========== ======= ==========================================
+
+:func:`classify_outcome` is the one rule set: the scalar
+:class:`~repro.injection.campaign.FaultRunner` and both lane backends
+(:mod:`repro.batch`) call it, so a new observation mode is one edit.
 """
 
 import enum
+
+from repro.sim.base import RunStatus
+
+#: ``FaultRecord.detail`` strings -- part of the bit-identity contract
+#: (stores intern them), so each is spelled exactly once.
+AFTER_PROGRAM_END = "after program end"
+RECONVERGED = "re-converged with golden"
+WATCHDOG_EXPIRED = "watchdog expired"
+OUTPUT_DIFFERS = "program output differs"
+PREFIX_CLEAN = "window expired, prefix clean"
+PREFIX_DIFFERS = "output prefix differs"
+HW_STATE_DIFFERS = "hardware state differs"
+PINOUT_DEVIATES = "pinout trace deviates"
 
 
 class FaultClass(enum.Enum):
@@ -134,3 +151,54 @@ def compare_traces(golden_keys, faulty_keys, limit=None):
         if faulty_keys[i] != golden_keys[i]:
             return False
     return True
+
+
+def classify_outcome(status, observation, golden, output=b"",
+                     hw_state=None, pinout_suffix=None, trace_base=0,
+                     machine_fault=None):
+    """``(FaultClass, detail)`` of one faulty run that stopped with
+    ``status`` (SS IV-A: any deviation at the observation point is
+    Unsafe).
+
+    ``golden`` is the campaign's golden payload (``output``,
+    ``hw_state``, ``pinout_keys``); ``output`` is the faulty program
+    output and ``machine_fault`` the latched fault of a ``FAULT`` stop.
+    ``hw_state`` and ``pinout_suffix`` are zero-argument callables --
+    the faulty :func:`~repro.injection.observation.hardware_state`
+    digest and the faulty pinout keys from ``trace_base`` on -- called
+    only under the observation point that reads them, because both
+    cost a full memory image or key list.
+    """
+    if status is RunStatus.FAULT:
+        return FaultClass.DUE, str(machine_fault)
+    if status is RunStatus.TIMEOUT:
+        return FaultClass.HANG, WATCHDOG_EXPIRED
+    if observation == "software":
+        if status is RunStatus.EXITED:
+            if output == golden["output"]:
+                return FaultClass.MASKED, ""
+            return FaultClass.SDC, OUTPUT_DIFFERS
+        # Window expired before program end: compare the prefix.
+        if golden["output"].startswith(output):
+            return FaultClass.MASKED, PREFIX_CLEAN
+        return FaultClass.SDC, PREFIX_DIFFERS
+    if observation == "arch":
+        # HVF-style layer boundary: output first, then latent state.
+        if output != golden["output"]:
+            return FaultClass.SDC, OUTPUT_DIFFERS
+        if hw_state() != golden["hw_state"]:
+            return FaultClass.LATENT, HW_STATE_DIFFERS
+        return FaultClass.MASKED, ""
+    # Pinout observation: strictly the write-back/refill traffic at the
+    # core pins, as in the paper.  Silent corruption that never reaches
+    # the pins is invisible here -- that blindness is the paper's
+    # Fig. 2 finding, so the observation stays pure.
+    golden_suffix = golden["pinout_keys"][trace_base:]
+    faulty_suffix = pinout_suffix()
+    if status is RunStatus.EXITED:
+        match = faulty_suffix == golden_suffix
+    else:
+        match = compare_traces(golden_suffix, faulty_suffix)
+    if match:
+        return FaultClass.MASKED, ""
+    return FaultClass.MISMATCH, PINOUT_DEVIATES

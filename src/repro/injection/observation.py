@@ -20,11 +20,11 @@ exactly the HVF-vs-AVF gap the referenced work measures.
 import zlib
 
 
-def memory_digest(ram, caches):
-    """CRC of the coherent memory image (RAM + dirty lines).
+def coherent_image(ram, caches):
+    """The coherent memory image: a copy of RAM with every valid+dirty
+    line of ``caches`` overlaid.
 
-    Non-destructive: the caches are not flushed; dirty lines are overlaid
-    onto a copy of the RAM contents.
+    Non-destructive: the caches are not flushed.
     """
     image = bytearray(ram.data)
     for cache in caches:
@@ -36,13 +36,27 @@ def memory_digest(ram, caches):
                     image[base:base + config.line_size] = (
                         cache.data[index, way].tobytes()
                     )
-    return zlib.crc32(bytes(image)) & 0xFFFFFFFF
+    return image
+
+
+def memory_digest(ram, caches):
+    """CRC of the coherent memory image (RAM + dirty lines)."""
+    return zlib.crc32(coherent_image(ram, caches)) & 0xFFFFFFFF
 
 
 def arch_digest(sim):
     """Committed architectural registers + flags, as a hashable tuple."""
     state = sim.arch_state()
     return (tuple(state["regs"]), state["flags"])
+
+
+def hardware_state(regs, flags, image):
+    """The hardware-visible state digest from its parts: registers
+    r0-r14, the packed flags and the coherent memory image.  The lane
+    backends build it from lane state, the scalar path from a
+    simulator (:func:`hardware_state_digest`)."""
+    return ((tuple(int(r) for r in regs), flags),
+            zlib.crc32(image) & 0xFFFFFFFF)
 
 
 def hardware_state_digest(sim):
@@ -55,4 +69,5 @@ def hardware_state_digest(sim):
         cache for cache in (getattr(sim, "dcache", None),)
         if cache is not None
     )
-    return (arch_digest(sim), memory_digest(sim.ram, caches))
+    regs, flags = arch_digest(sim)
+    return hardware_state(regs, flags, coherent_image(sim.ram, caches))

@@ -12,7 +12,9 @@ across every execution strategy the campaign engine composes it with --
 * **warm vs cold start** -- lane groups restore from the same
   checkpoint (or replay the same prefix) the scalar runner would;
 * **store round-trips** -- records written at one lane count resume at
-  another.
+  another;
+* **observation points** -- AVF (program output) and HVF (hardware
+  state) as well as the pinout.
 
 Identity is asserted on everything a record carries except per-session
 accounting: fault identity, class, detail and simulated cycles
@@ -26,6 +28,7 @@ import shutil
 import pytest
 
 from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.classify import FaultClass
 from repro.injection.store import CampaignStore
 from repro.scenario.presets import preset_path
 from repro.scenario.runner import ScenarioRunner
@@ -118,6 +121,39 @@ def test_cpsr_faults_force_heavy_divergence():
     assert keys == record_keys(scalar)
     # The config earns its name: a real mix of survivors and casualties.
     assert len({k[2] for k in keys}) > 1, "all faults classified alike"
+
+
+# ----------------------------------------------------------------------
+# observation points beyond pinout
+# ----------------------------------------------------------------------
+
+#: With prune off, this seed's hvf sample (8 faults per structure on
+#: stringsearch) reaches every branch of the outcome kernel.
+OBSERVATION_SEED = 2
+
+
+@pytest.mark.parametrize("observation", ["software", "arch"],
+                         ids=["avf", "hvf"])
+def test_lane_equivalence_across_observation_points(observation):
+    """The lane engine classifies through the same outcome kernel as
+    the scalar path under the program-output (AVF) and hardware-state
+    (HVF) observation points too, not just the pinout."""
+    factory = make_factory("stringsearch")
+    classes = set()
+    for structure in ("regfile", "cpsr"):
+        kwargs = {"structure": structure, "window": None,
+                  "observation": observation, "seed": OBSERVATION_SEED,
+                  "prune_mode": "off"}
+        scalar = record_keys(run_campaign(factory, "stringsearch",
+                                          **kwargs))
+        batch = record_keys(run_campaign(factory, "stringsearch",
+                                         batch_lanes=8, **kwargs))
+        assert batch == scalar, f"{observation}/{structure} diverged"
+        classes |= {key[2] for key in scalar}
+    if observation == "arch":
+        assert classes == {FaultClass.DUE, FaultClass.HANG,
+                           FaultClass.LATENT, FaultClass.MASKED,
+                           FaultClass.SDC}
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,19 @@ def test_cpsr_faults_force_pipeline_divergence():
     assert len({k[2] for k in keys}) > 1, "all faults classified alike"
 
 
+@pytest.mark.parametrize("structure", ["regfile", "cpsr"])
+def test_rtl_lane_equivalence_sop(structure):
+    """Software-output observation to program end (the paper's SOP
+    mode): lanes classify through the same outcome kernel as the
+    scalar path, not just under the pinout."""
+    factory = RTLFactory("stringsearch")
+    kwargs = {"structure": structure, "window": None,
+              "observation": "software", "prune_mode": "off"}
+    scalar = run_campaign(factory, "stringsearch", **kwargs)
+    batch = run_campaign(factory, "stringsearch", batch_lanes=8, **kwargs)
+    assert record_keys(batch) == record_keys(scalar)
+
+
 @pytest.mark.parametrize("structure", ["l1d.data", "l1d.dirty", "l1i.tag"])
 def test_cache_structures_fall_back_to_scalar(structure):
     """Cache-array faults never vectorize (the lane store models RAM

@@ -119,6 +119,11 @@ def test_config_rejects_bad_jobs():
         CampaignConfig(jobs=0)
     with pytest.raises(ValueError):
         CampaignConfig(batch_size=0)
+    # Lane counts follow the jobs rule: a non-bool int >= 1 (a float or
+    # a bool would otherwise run int(value) lanes under another header).
+    for lanes in (0, None, 2.5, True, "4"):
+        with pytest.raises(ValueError):
+            CampaignConfig(batch_lanes=lanes)
 
 
 def test_config_resolves_auto_jobs():
