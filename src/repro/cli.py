@@ -27,9 +27,9 @@ microarchitectural model (``uarch``) and the RT-level model (``rtl``).
 Campaign-running subcommands (``run``, ``fig1``..``fig3``,
 ``headline``) accept ``--jobs`` to fan the faulty runs of each campaign
 out over a process pool (default: one worker per CPU; ``--jobs 1``
-forces the serial path), ``--prune {off,dead,group,static}`` to control
+forces the serial path), ``--prune {off,dead,static}`` to control
 fault pruning -- lifetime-aware from the golden access trace
-(``dead``/``group``) or capture-free from static dataflow analysis of
+(``dead``) or capture-free from static dataflow analysis of
 the program text (``static``, :mod:`repro.staticcheck`; arch and rtl
 tiers) -- plus ``--store DIR``
 to persist every completed fault to an on-disk campaign store and
@@ -97,15 +97,11 @@ PRUNE_HELP = (
     "fault pruning: 'dead' (default) classifies faults whose bit is "
     "overwritten before its next read as Masked without simulating "
     "them (repro.prune, golden access trace) -- per-fault classes are "
-    "identical to 'off', only cheaper; 'group' additionally collapses "
-    "faults sharing a live interval onto one representative "
-    "(approximate windows, opt-in); 'static' proves the same "
+    "identical to 'off', only cheaper; 'static' proves the same "
     "dead-interval verdicts from dataflow analysis of the program "
     "text alone (repro.staticcheck, no access trace captured; arch "
     "and rtl tiers -- elsewhere every fault simulates)"
 )
-
-PRUNE_CHOICES = ("off", "dead", "group", "static")
 
 _EPILOGS = {
     "run": """\
@@ -556,6 +552,7 @@ def _add_parser(sub, name, help_text):
 
 def main(argv=None):
     from repro import __version__
+    from repro.prune import PRUNE_MODES
 
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -583,7 +580,7 @@ def main(argv=None):
     p_run.add_argument("--lanes", type=_positive_jobs, default=None,
                        help=LANES_HELP + " (default: the spec's "
                             "execution.lanes)")
-    p_run.add_argument("--prune", choices=PRUNE_CHOICES,
+    p_run.add_argument("--prune", choices=PRUNE_MODES,
                        default=None, help=PRUNE_HELP)
     p_run.add_argument("--retries", type=_positive_retries, default=None,
                        help=RETRIES_HELP)
@@ -624,7 +621,7 @@ def main(argv=None):
                        default=default_jobs(), help=JOBS_HELP)
         p.add_argument("--lanes", type=_positive_jobs, default=None,
                        help=LANES_HELP)
-        p.add_argument("--prune", choices=PRUNE_CHOICES,
+        p.add_argument("--prune", choices=PRUNE_MODES,
                        default="dead", help=PRUNE_HELP)
         p.add_argument("--retries", type=_positive_retries, default=None,
                        help=RETRIES_HELP)

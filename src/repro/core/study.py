@@ -75,7 +75,7 @@ class StudyConfig:
         #: re-running them.
         self.resume = resume
         #: Lifetime-aware fault pruning mode for every campaign
-        #: (``off``/``dead``/``group``; see :mod:`repro.prune`).
+        #: (``off``/``dead``/``static``; see :mod:`repro.prune`).
         self.prune = prune
         self._spec = None
 

@@ -24,11 +24,11 @@ observation point makes a run Unsafe.
 
 Step 2 is embarrassingly parallel: every faulty run starts from a
 shared, read-only golden payload.  The per-fault execution therefore
-lives in the picklable :class:`FaultRunner`, which the serial loop and
-the process-pool backend (:mod:`repro.injection.executor`) both drive;
-``CampaignConfig(jobs=N)`` selects the backend.  The parallel path
-merges records in fault-sample order, so for a fixed seed its
-``CampaignResult`` is identical to the serial one (see DESIGN.md).
+lives in the picklable :class:`FaultRunner`, which the executor
+(:mod:`repro.injection.executor`) drives in-process or on a process
+pool (``CampaignConfig(jobs=N)``).  Records merge in fault-sample
+order, so for a fixed seed the ``CampaignResult`` is identical at any
+worker count (see DESIGN.md).
 """
 
 import bisect
@@ -41,7 +41,6 @@ from repro.injection.classify import (
     AFTER_PROGRAM_END,
     FaultClass,
     FaultRecord,
-    Incident,
     RECONVERGED,
     classify_outcome,
 )
@@ -89,6 +88,21 @@ class CampaignConfig:
             raise ValueError(
                 "the arch (HVF) observation point compares end-of-run "
                 "state; use window=None"
+            )
+        if window is not None and (isinstance(window, bool)
+                                   or not isinstance(window, int)
+                                   or window < 1):
+            raise ValueError(
+                f"window must be a cycle count >= 1 or None (run to "
+                f"program end), got {window!r}"
+            )
+        # The watchdog is hang_factor x the golden run: below 1 it
+        # would fire before a fault-free run could finish.
+        if (isinstance(hang_factor, bool)
+                or not isinstance(hang_factor, (int, float))
+                or not hang_factor >= 1):
+            raise ValueError(
+                f"hang_factor must be a number >= 1, got {hang_factor!r}"
             )
         if samples is None or isinstance(samples, bool) \
                 or not isinstance(samples, int) or samples < 0:
@@ -155,10 +169,7 @@ class CampaignConfig:
         #: overwritten before its next read -- or never read again -- as
         #: Masked without simulation, from the golden lifetime trace
         #: (:mod:`repro.prune`; exact: the per-fault classes match
-        #: ``"off"`` fault for fault); ``"group"`` additionally
-        #: collapses faults sharing a live interval onto one
-        #: representative injected just before the consuming read
-        #: (approximate windows; opt-in); ``"static"`` proves the same
+        #: ``"off"`` fault for fault); ``"static"`` proves the same
         #: dead-interval verdicts from dataflow analysis of the program
         #: text plus the golden retired-PC stream, with no access trace
         #: captured at all (:mod:`repro.staticcheck`; arch and rtl
@@ -481,34 +492,32 @@ class FaultRunner:
         #: ``lanes x footprint``; the paged store stays well under).
         self.batch_lane_peak_bytes = 0
 
-    def run_many(self, sim, specs, progress=None, on_batch=None):
-        """Execute ``specs`` in fault-sample order, vectorized when
-        possible.
+    def uses_lanes(self, sim, count):
+        """Whether ``count`` faults run on the lane engine
+        (:mod:`repro.batch`): ``batch_lanes > 1`` on a ``BATCHABLE``
+        backend, with more than one fault to share a pass."""
+        return (self.config.batch_lanes > 1 and type(sim).BATCHABLE
+                and count > 1)
 
-        With ``batch_lanes > 1`` on a ``BATCHABLE`` backend the specs
-        are handed to the lane engine (:mod:`repro.batch`), which
-        executes same-segment groups of up to ``batch_lanes`` faulty
-        runs as one numpy pass; otherwise (or for a single fault) this
-        is exactly :func:`run_serial`.  Records are bit-identical
+    def run_many(self, sim, specs):
+        """Execute ``specs`` in fault-sample order, vectorized when
+        :meth:`uses_lanes` allows.
+
+        The lane engine executes same-segment groups of up to
+        ``batch_lanes`` faulty runs as one numpy pass; otherwise each
+        fault goes through :meth:`run_one`.  Records are bit-identical
         either way -- the cross-lane equivalence suite pins that.
         """
-        cfg = self.config
-        if (cfg.batch_lanes > 1 and type(sim).BATCHABLE
-                and len(specs) > 1):
-            from repro.batch import LaneEngine
+        if not self.uses_lanes(sim, len(specs)):
+            return [self.run_one(sim, fault) for fault in specs]
+        from repro.batch import LaneEngine
 
-            engine = LaneEngine(self, sim, cfg.batch_lanes)
-            records = engine.run(specs)
-            self.batch_cycles += engine.batch_cycles
-            self.batch_lane_peak_bytes = max(
-                self.batch_lane_peak_bytes, engine.peak_lane_bytes)
-            for i, record in enumerate(records):
-                if on_batch is not None:
-                    on_batch(i, [record])
-                if progress is not None:
-                    progress(i + 1, len(specs), record)
-            return records
-        return run_serial(sim, self, specs, progress, on_batch=on_batch)
+        engine = LaneEngine(self, sim, self.config.batch_lanes)
+        records = engine.run(specs)
+        self.batch_cycles += engine.batch_cycles
+        self.batch_lane_peak_bytes = max(
+            self.batch_lane_peak_bytes, engine.peak_lane_bytes)
+        return records
 
     def run_one(self, sim, fault):
         """Seek, advance, inject, finish, classify: one FaultRecord.
@@ -597,27 +606,6 @@ class FaultRunner:
             return sim.run(stop_cycle=end,
                            max_cycles=self.hang_deadline), False
         return sim.run(max_cycles=self.hang_deadline), False
-
-
-def run_serial(sim, runner, specs, progress=None, on_batch=None):
-    """The one serial faulty-run loop.
-
-    Used by the ``jobs=1`` path and by the executor when a shard
-    degenerates to a single batch, so there is exactly one copy of the
-    restore/inject/classify iteration order.  ``on_batch(start,
-    records)`` -- the campaign-store append hook, sharing the parallel
-    executor's signature -- fires exactly once per fault as it
-    completes, with a one-record batch.
-    """
-    records = []
-    for i, fault in enumerate(specs):
-        record = runner.run_one(sim, fault)
-        records.append(record)
-        if on_batch is not None:
-            on_batch(i, [record])
-        if progress is not None:
-            progress(i + 1, len(specs), record)
-    return records
 
 
 def _assert_static_verdict(trace, fault, detail, events_at_stop_executed):
@@ -711,22 +699,19 @@ class Campaign:
         # renamed uarch register file) the shape is exactly the
         # unsanitized shape, so the env var can never alter what the
         # partitioner sees.
-        access = mode in ("dead", "group") or (xcheck and pc)
+        access = mode == "dead" or (xcheck and pc)
         return access, pc
 
-    def _golden_phase(self, sim, result):
-        """Fault-free run with periodic drained checkpoints.
+    def _instrument_golden(self, sim, access_log):
+        """Install the golden run's listeners on ``sim``.
 
-        Checkpoint capture and retention live in
-        :class:`CheckpointCache` (configurable stride, LRU-bounded
-        resident set); this phase owns listener setup and the
-        clean-exit contract.
+        Returns ``(attach_access_log, capture_access, capture_pc)``:
+        the l1d access-log attacher of the inject-near-consumption
+        acceleration (``None`` when off; re-applied after every
+        checkpoint restore) and the :meth:`_capture_shape` pair.
         """
-        cfg = self.config
-        started = time.perf_counter()
-        access_log = []
         attach_access_log = None
-        if cfg.accelerate and self.structure.startswith("l1d."):
+        if self.config.accelerate and self.structure.startswith("l1d."):
             def attach_access_log(target):
                 target.dcache.access_listener = (
                     lambda cycle, index, way, write, addr:
@@ -742,6 +727,21 @@ class Campaign:
             sim.enable_access_trace(snapshot_in_checkpoints=False)
         if capture_pc:
             sim.enable_pc_trace()
+        return attach_access_log, capture_access, capture_pc
+
+    def _golden_phase(self, sim, result):
+        """Fault-free run with periodic drained checkpoints.
+
+        Checkpoint capture and retention live in
+        :class:`CheckpointCache` (configurable stride, LRU-bounded
+        resident set); this phase owns listener setup and the
+        clean-exit contract.
+        """
+        cfg = self.config
+        started = time.perf_counter()
+        access_log = []
+        attach_access_log, capture_access, capture_pc = \
+            self._instrument_golden(sim, access_log)
         cache = CheckpointCache(
             stride=cfg.checkpoint_interval,
             max_resident=cfg.checkpoint_bound,
@@ -795,12 +795,15 @@ class Campaign:
             rng, self.structure, bit_count, distribution, cfg.samples
         )
 
-    def _sample(self, sim, golden, result):
+    def _sample_and_check(self, sim, golden, result, store, stored,
+                          stored_incidents):
+        """Draw the fault samples, record the golden summary in the
+        store, and cross-check the faults already on disk against the
+        draw (see :meth:`_check_stored_faults`)."""
         cfg = self.config
         bit_count = sim.fault_targets()[self.structure]
         result.population = fault_population(bit_count,
                                              golden["end_cycle"])
-        golden["bits"] = bit_count
         specs = self._draw_specs(bit_count, golden["end_cycle"])
         if cfg.accelerate and self.structure == "l1d.data":
             index = {}
@@ -810,6 +813,15 @@ class Campaign:
                 self._accelerate_with_index(sim, fault, index)
                 for fault in specs
             ]
+        if store is not None:
+            store.set_golden(result.golden_cycles, result.golden_insts,
+                             golden["end_cycle"], result.population,
+                             bit_count, trace=golden.get("trace"))
+        self._check_stored_faults(stored, specs)
+        self._check_stored_faults(stored_incidents, specs)
+        result.resumed = len(stored)
+        result.resumed_seconds = sum(stored[i].wall_seconds
+                                     for i in sorted(stored))
         return specs
 
     def _accelerate_with_index(self, sim, fault, index):
@@ -826,26 +838,11 @@ class Campaign:
         return fault_mod.FaultSpec(fault.structure, fault.bit, new_cycle,
                                    original_cycle=fault.cycle)
 
-    def _prune_partition(self, sim, golden, specs):
-        """Consult the fault pruner (:mod:`repro.prune`) over ``specs``.
-
-        Returns ``(pruned_records, effective_specs, member_of)``:
-
-        * ``pruned_records`` -- fault index -> :class:`FaultRecord`
-          classified from the golden lifetime trace, no simulation;
-        * ``effective_specs`` -- the spec list with equivalence-group
-          representatives moved to the latest stop cycle before their
-          consuming read (``group`` mode; identical to ``specs``
-          otherwise -- ``original_cycle`` is preserved either way);
-        * ``member_of`` -- non-representative group member index ->
-          its representative's index; the member inherits the
-          representative's classification after the faulty phase.
-        """
+    def _pruners(self, sim, golden):
+        """``(pruner, static)``: the dynamic :class:`~repro.prune
+        .FaultPruner` and the :class:`~repro.staticcheck.StaticPruner`
+        the golden captures support (``None`` where not captured)."""
         cfg = self.config
-        pruned_records = {}
-        member_of = {}
-        if cfg.prune_mode == "off":
-            return pruned_records, specs, member_of
         events_at_stop = type(sim).TRACE_EVENTS_AT_STOP_EXECUTED
         pruner = None
         if golden.get("trace") is not None:
@@ -871,16 +868,29 @@ class Campaign:
                 sim.program, self.level, cfg.observation,
                 golden["pc_trace"], events_at_stop,
             )
+        return pruner, static
+
+    def _prune_partition(self, sim, golden, specs):
+        """Consult the fault pruners (:meth:`_pruners`) over ``specs``.
+
+        Returns ``pruned_records``: fault index -> :class:`FaultRecord`
+        classified from the golden lifetime trace (``dead``) or the
+        static dataflow engine (``static``), without simulation.
+        """
+        cfg = self.config
+        pruned_records = {}
+        if cfg.prune_mode == "off":
+            return pruned_records
+        events_at_stop = type(sim).TRACE_EVENTS_AT_STOP_EXECUTED
+        pruner, static = self._pruners(sim, golden)
         if cfg.prune_mode == "static" and static is None:
             # No static engine at this tier: every fault simulates.
             # (The dynamic trace, were one ever present, checks static
             # verdicts -- it never substitutes for them.)
-            return pruned_records, specs, member_of
+            return pruned_records
         if pruner is None and static is None:
-            return pruned_records, specs, member_of
+            return pruned_records
         xcheck = pruner is not None and static is not None
-        effective = list(specs)
-        groups = {}
         for i, fault in enumerate(specs):
             if static is not None:
                 static_verdict = static.classify(fault)
@@ -903,27 +913,7 @@ class Campaign:
                 fclass, detail = verdict
                 pruned_records[i] = FaultRecord(fault, fclass, detail,
                                                 pruned="dead")
-                continue
-            if cfg.prune_mode != "group":
-                continue
-            interval = pruner.group_interval(fault)
-            if interval is None:
-                continue
-            rep = groups.get(interval.key)
-            if rep is None:
-                # First sampled fault of this live interval becomes the
-                # representative, injected right before the read that
-                # consumes the corruption (the MeRLiN move).
-                groups[interval.key] = i
-                rep_cycle = pruner.representative_cycle(interval)
-                if rep_cycle > fault.cycle:
-                    effective[i] = fault_mod.FaultSpec(
-                        fault.structure, fault.bit, rep_cycle,
-                        original_cycle=fault.original_cycle,
-                    )
-            else:
-                member_of[i] = rep
-        return pruned_records, effective, member_of
+        return pruned_records
 
     def identity(self):
         """What a campaign store records and resume validates: the
@@ -969,10 +959,11 @@ class Campaign:
             golden_pool=None):
         """Execute the campaign.  Returns a :class:`CampaignResult`.
 
-        The golden phase and fault sampling always run in this process;
-        the faulty runs execute serially (``jobs=1``, the default) or on
-        a process pool (:mod:`repro.injection.executor`).  Both backends
-        produce records in fault-sample order.
+        Six phases, identical at every level (DESIGN.md, "Campaign
+        phases"): :meth:`_resume_complete` (a fully completed store
+        rebuilds the result without building a simulator),
+        :meth:`_adopt_or_capture_golden`, :meth:`_sample_and_check`,
+        :meth:`_prune_phase`, :meth:`_execute` and :meth:`_merge`.
 
         With a :class:`~repro.injection.store.CampaignStore` every
         completed fault is appended durably; with ``resume=True`` faults
@@ -980,17 +971,98 @@ class Campaign:
         sequence is bit-identical to an uninterrupted campaign, because
         the sample list is a pure function of the stored identity).
         ``progress`` then counts only the faults actually simulated this
-        session.  A fully completed store resumes without building a
-        simulator at all.
+        session.  ``golden_pool`` shares golden captures across
+        campaigns (see :meth:`_adopt_or_capture_golden`).
+        """
+        from repro.injection import supervisor
+
+        result = CampaignResult(self.workload, self.level, self.structure,
+                                self.config)
+        started = time.perf_counter()
+        stored, stored_incidents = {}, {}
+        if store is not None:
+            stored = store.begin(self.identity(), resume=resume)
+            stored_incidents = store.incidents()
+        # Resolved before the golden run, so a bad spec fails fast.
+        chaos = supervisor.resolve_chaos(self.config.chaos)
+        try:
+            with supervisor.GracefulShutdown() as shutdown:
+                if store is None or not self._resume_complete(
+                        result, stored, stored_incidents, store):
+                    sim, golden = self._adopt_or_capture_golden(
+                        result, golden_pool)
+                    specs = self._sample_and_check(
+                        sim, golden, result, store, stored,
+                        stored_incidents)
+                    on_disk = stored.keys() | stored_incidents.keys()
+                    pruned = self._prune_phase(sim, golden, specs, store,
+                                               on_disk)
+                    todo = [(i, spec) for i, spec in enumerate(specs)
+                            if i not in pruned and i not in on_disk]
+                    records, incidents = self._execute(
+                        sim, golden, todo, result, store, progress,
+                        shutdown.requested, chaos)
+                    # The store stays authoritative for what it holds.
+                    self._merge(result, len(specs),
+                                {**pruned, **records, **stored},
+                                {**stored_incidents, **incidents},
+                                shutdown.signame, store is not None)
+                result.total_seconds = time.perf_counter() - started
+                return result
+        finally:
+            if store is not None:
+                store.close()
+
+    def _adopt_or_capture_golden(self, result, golden_pool):
+        """Phase 2: adopt a pooled golden run or capture one.
+        Returns ``(sim, golden)``.
 
         ``golden_pool`` (a plain dict the caller owns, keyed by
         :meth:`golden_key`) lets campaigns of one scenario grid share
         golden captures: on a hit the whole golden phase is skipped and
         the pooled simulator/payload adopted; on a miss this campaign's
-        capture is published for the cells after it.  Classifications
-        are unaffected -- the key covers every capture-shaping knob,
-        and warm-start ``seek`` restores bit-identical pre-injection
-        states from any checkpoint-cache residency pattern.
+        capture (:meth:`_golden_phase`) is published for the cells after
+        it.  Classifications are unaffected -- the key covers every
+        capture-shaping knob, and warm-start ``seek`` restores
+        bit-identical pre-injection states from any checkpoint-cache
+        residency pattern.
+        """
+        key = self.golden_key()
+        shared = None if golden_pool is None else golden_pool.get(key)
+        if shared is None:
+            sim = self.sim_factory()
+            golden = self._golden_phase(sim, result)
+            if golden_pool is not None:
+                golden_pool[key] = SharedGolden(
+                    sim, golden, result.golden_cycles,
+                    result.golden_insts, result.golden_seconds)
+            return sim, golden
+        result.golden_cycles = shared.cycles
+        result.golden_insts = shared.insts
+        # This session spent nothing capturing the golden run -- the
+        # original capture's cost stays with the campaign that paid it,
+        # so the serial estimate (and hence speedup, ~1.0 at jobs=1)
+        # reflects only work actually done here, exactly like resumed
+        # records.
+        result.golden_seconds = 0.0
+        return shared.sim, shared.golden
+
+    def _prune_phase(self, sim, golden, specs, store, on_disk):
+        """Phase 4: :meth:`_prune_partition`, with every verdict not
+        yet ``on_disk`` appended to the store in fault-index order."""
+        pruned = self._prune_partition(sim, golden, specs)
+        if store is not None:
+            for i in sorted(pruned.keys() - on_disk):
+                store.append(i, pruned[i])
+        return pruned
+
+    def _execute(self, sim, golden, items, result, store, progress, stop,
+                 chaos):
+        """Phase 5: simulate ``items`` (``(fault_index, spec)`` pairs)
+        through :func:`repro.injection.executor.run_parallel`, which
+        stays in-process on ``sim`` at ``jobs=1`` or for a single
+        shard.  Returns ``(records, incidents)``, both keyed by fault
+        index.
 
         Failure model (see DESIGN.md, "Failure model & recovery
         semantics"): a fault that keeps killing, stalling or crashing
@@ -998,195 +1070,78 @@ class Campaign:
         .Incident` after ``retries`` failed executions -- the campaign
         then completes *degraded* (``result.incidents`` non-empty)
         while every other fault classifies bit-identically.  The first
-        SIGINT/SIGTERM drains in-flight work, flushes the store and
-        raises :class:`~repro.errors.CampaignInterrupted` (resumable);
-        a second signal hard-kills.
+        SIGINT/SIGTERM (``stop``) drains in-flight work, flushes the
+        store and makes :meth:`_merge` raise
+        :class:`~repro.errors.CampaignInterrupted` (resumable); a
+        second signal hard-kills.
         """
-        from repro.injection import supervisor
+        from repro.injection import executor, supervisor
 
         cfg = self.config
-        result = CampaignResult(self.workload, self.level, self.structure,
-                                cfg)
-        total_start = time.perf_counter()
-        stored = {}
-        stored_incidents = {}
-        if store is not None:
-            stored = store.begin(self.identity(), resume=resume)
-            stored_incidents = store.incidents()
-        chaos = supervisor.resolve_chaos(cfg.chaos)
-        retries = cfg.retries or supervisor.DEFAULT_RETRIES
-        try:
-            with supervisor.GracefulShutdown() as shutdown:
-                if store is not None and self._resume_complete(
-                        result, stored, stored_incidents, store):
-                    result.total_seconds = (time.perf_counter()
-                                            - total_start)
-                    return result
-                shared = None
-                if golden_pool is not None:
-                    shared = golden_pool.get(self.golden_key())
-                if shared is None:
-                    sim = self.sim_factory()
-                    golden = self._golden_phase(sim, result)
-                    if golden_pool is not None:
-                        golden_pool[self.golden_key()] = SharedGolden(
-                            sim, golden, result.golden_cycles,
-                            result.golden_insts, result.golden_seconds)
-                else:
-                    sim, golden = shared.sim, shared.golden
-                    result.golden_cycles = shared.cycles
-                    result.golden_insts = shared.insts
-                    # This session spent nothing capturing the golden
-                    # run -- the original capture's cost stays with the
-                    # campaign that paid it, so the serial estimate (and
-                    # hence speedup, ~1.0 at jobs=1) reflects only work
-                    # actually done here, exactly like resumed records.
-                    result.golden_seconds = 0.0
-                specs = self._sample(sim, golden, result)
-                if store is not None:
-                    store.set_golden(result.golden_cycles,
-                                     result.golden_insts,
-                                     golden["end_cycle"],
-                                     result.population,
-                                     golden["bits"],
-                                     trace=golden.get("trace"))
-                self._check_stored_faults(stored, specs)
-                self._check_stored_faults(stored_incidents, specs)
-                pruned_records, eff_specs, member_of = \
-                    self._prune_partition(sim, golden, specs)
-                if store is not None:
-                    for i in sorted(pruned_records):
-                        if i not in stored and i not in stored_incidents:
-                            store.append(i, pruned_records[i])
-                remaining = [
-                    (i, eff_specs[i]) for i in range(len(specs))
-                    if i not in stored and i not in pruned_records
-                    and i not in member_of and i not in stored_incidents
-                ]
-                result.resumed = len(stored)
-                result.resumed_seconds = sum(
-                    stored[i].wall_seconds for i in range(len(specs))
-                    if i in stored
-                )
-                on_record = None
-                if store is not None:
-                    def on_record(index, record):
-                        store.append(index, record)
-
-                def on_incident(incident):
-                    if store is not None:
-                        store.append_incident(incident)
-                hang_deadline = int(
-                    golden["end_cycle"] * cfg.hang_factor
-                    + (cfg.window or 0) + 20_000
-                )
+        runner = self._fault_runner(golden)
+        records, incidents, result.retried_count, _, result.jobs = \
+            executor.run_parallel(
+                self.sim_factory, runner, items,
+                jobs=cfg.resolved_jobs(len(items)),
+                batch_size=cfg.batch_size, start_method=cfg.start_method,
+                progress=progress, fallback_sim=sim,
+                on_record=None if store is None else store.append,
+                on_incident=(None if store is None
+                             else store.append_incident),
+                stop=stop, retries=cfg.retries or supervisor.DEFAULT_RETRIES,
+                batch_timeout=cfg.batch_timeout,
                 # Per-fault wall budget feeding derived batch deadlines:
                 # a faulty run costs at most ~a golden run's wall time
                 # scaled by the watchdog factor; the supervisor applies
                 # a generous floor on top (adopted goldens report 0.0s
                 # here and fall straight to the floor).
-                fault_timeout_hint = (
-                    result.golden_seconds * cfg.hang_factor * 4
-                )
-                # Only what the faulty phase reads travels to workers --
-                # the access log (and hw_state outside arch mode) stays
-                # local.  The checkpoint cache ships whole, so workers
-                # share the same (bounded) restart points and boundary
-                # digests.
-                runner_golden = {
-                    key: golden[key]
-                    for key in ("cache", "pinout_keys", "output")
-                }
-                if cfg.observation == "arch":
-                    runner_golden["hw_state"] = golden["hw_state"]
-                runner = FaultRunner(cfg, runner_golden, hang_deadline)
-                jobs = cfg.resolved_jobs(len(remaining))
-                stop = shutdown.requested
-                if jobs > 1:
-                    from repro.injection import executor
+                fault_timeout_hint=(result.golden_seconds
+                                    * cfg.hang_factor * 4),
+                chaos=chaos,
+            )
+        result.batch_cycles = runner.batch_cycles
+        result.batch_lane_peak_bytes = runner.batch_lane_peak_bytes
+        return records, {incident.index: incident
+                         for incident in incidents}
 
-                    (records_map, incidents, requeued, _,
-                     jobs) = executor.run_parallel(
-                        self.sim_factory, runner, remaining, jobs=jobs,
-                        batch_size=cfg.batch_size,
-                        start_method=cfg.start_method,
-                        progress=progress, fallback_sim=sim,
-                        on_record=on_record, on_incident=on_incident,
-                        stop=stop, retries=retries,
-                        batch_timeout=cfg.batch_timeout,
-                        fault_timeout_hint=fault_timeout_hint,
-                        chaos=chaos,
-                    )
-                else:
-                    records_map, incidents, requeued, _ = \
-                        supervisor.run_in_process(
-                            sim, runner, remaining, retries=retries,
-                            chaos=chaos, progress=progress,
-                            on_record=on_record, on_incident=on_incident,
-                            stop=stop,
-                        )
-                    jobs = 1
-                result.jobs = jobs
-                result.retried_count = requeued
-                result.batch_cycles = runner.batch_cycles
-                result.batch_lane_peak_bytes = runner.batch_lane_peak_bytes
-                # Merge by fault index: pruned classifications and
-                # stored records fill the gaps around the simulated
-                # ones; every index appears exactly once, in
-                # fault-sample order (the store stays authoritative for
-                # anything it already holds).
-                merged = dict(pruned_records)
-                merged.update(records_map)
-                merged.update(stored)
-                all_incidents = dict(stored_incidents)
-                for incident in incidents:
-                    all_incidents[incident.index] = incident
-                # Group members inherit their representative's verdict
-                # (the representative is in ``merged``: simulated this
-                # session or loaded from the store) -- unless the
-                # representative was quarantined, in which case the
-                # member has no verdict to inherit and is quarantined
-                # with it.
-                for m in sorted(member_of):
-                    if m in merged or m in all_incidents:
-                        continue  # resumed from the store
-                    rep = member_of[m]
-                    if rep in all_incidents:
-                        member = Incident(
-                            m, specs[m], "exception",
-                            f"equivalence-group representative #{rep} "
-                            f"was quarantined", attempts=0)
-                        all_incidents[m] = member
-                        on_incident(member)
-                        continue
-                    rep_record = merged[rep]
-                    member = FaultRecord(specs[m], rep_record.fclass,
-                                         rep_record.detail,
-                                         pruned="group")
-                    merged[m] = member
-                    if store is not None:
-                        store.append(m, member)
-                resolved = set(merged) | set(all_incidents)
-                if len(resolved) < len(specs):
-                    # A drain request stopped the faulty phase early.
-                    # Everything completed so far is flushed (the store
-                    # appends per record), so the store resumes exactly
-                    # where this run stopped.
-                    raise CampaignInterrupted(
-                        len(resolved), len(specs),
-                        signame=shutdown.signame or "signal",
-                        stored=store is not None,
-                    )
-                for i in range(len(specs)):
-                    if i in all_incidents:
-                        result.incidents.append(all_incidents[i])
-                    else:
-                        result.add(merged[i])
-                result.total_seconds = time.perf_counter() - total_start
-                return result
-        finally:
-            if store is not None:
-                store.close()
+    def _fault_runner(self, golden):
+        """The picklable :class:`FaultRunner` for the faulty phase.
+
+        Only what the faulty phase reads travels to workers -- the
+        access log (and hw_state outside arch mode) stays local.  The
+        checkpoint cache ships whole, so workers share the same
+        (bounded) restart points and boundary digests.
+        """
+        cfg = self.config
+        hang_deadline = int(golden["end_cycle"] * cfg.hang_factor
+                            + (cfg.window or 0) + 20_000)
+        runner_golden = {key: golden[key]
+                         for key in ("cache", "pinout_keys", "output")}
+        if cfg.observation == "arch":
+            runner_golden["hw_state"] = golden["hw_state"]
+        return FaultRunner(cfg, runner_golden, hang_deadline)
+
+    @staticmethod
+    def _merge(result, count, records, incidents, signame, stored):
+        """Phase 6: fill ``result`` in fault-sample order from
+        ``records`` and ``incidents`` (keyed by fault index; a
+        quarantined fault is an incident even where a record exists).
+
+        An index in neither means a drain request stopped the faulty
+        phase early: everything completed so far is already flushed
+        (the store appends per record), so the store resumes exactly
+        where this run stopped.
+        """
+        resolved = records.keys() | incidents.keys()
+        if len(resolved) < count:
+            raise CampaignInterrupted(len(resolved), count,
+                                      signame=signame or "signal",
+                                      stored=stored)
+        for i in range(count):
+            if i in incidents:
+                result.incidents.append(incidents[i])
+            else:
+                result.add(records[i])
 
     @staticmethod
     def _check_stored_faults(stored, specs):

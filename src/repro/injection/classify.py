@@ -81,8 +81,9 @@ class FaultRecord:
         #: How the classification was reached without simulation:
         #: ``""`` -- this fault was simulated; ``"dead"`` -- the golden
         #: lifetime trace proved it Masked (dead-interval pruning);
-        #: ``"group"`` -- inherited from its equivalence-group
-        #: representative (``prune_mode="group"``); ``"static"`` -- the
+        #: ``group`` -- read-only legacy: inherited from an
+        #: equivalence-group representative by a prune mode since
+        #: removed, kept so older stores load; ``"static"`` -- the
         #: static dataflow engine proved it Masked from the program
         #: text and the retired-PC stream alone
         #: (``prune_mode="static"``, :mod:`repro.staticcheck`).

@@ -98,14 +98,15 @@ def run_parallel(sim_factory, runner, items, jobs, batch_size=None,
     ``record=None``).  ``on_record(index, record)`` is the
     campaign-store append hook -- called exactly once per classified
     fault, in completion order.  ``fallback_sim``, if given, serves the
-    degenerate single-batch case instead of building a fresh simulator.
+    in-process case (``jobs=1`` or a single batch) instead of building
+    a fresh simulator.
     """
     specs = [spec for _, spec in items]
     batches = shard(specs, jobs, batch_size)
     jobs = min(jobs, len(batches))
     if jobs <= 1:
-        # Degenerate shard (e.g. one batch): stay in-process -- no
-        # context, no queues, no payload pickling.
+        # One worker or one batch: stay in-process -- no context, no
+        # queues, no payload pickling.
         sim = fallback_sim if fallback_sim is not None else sim_factory()
         records, incidents, requeued, drained = supervisor.run_in_process(
             sim, runner, items, retries=retries, chaos=chaos,

@@ -87,6 +87,7 @@ FCLASS_CODES = {
 }
 FCLASS_BY_CODE = tuple(sorted(FCLASS_CODES, key=FCLASS_CODES.get))
 
+# Code 2 ("group") is read-only legacy: no current prune mode writes it.
 PRUNED_CODES = {"": 0, "dead": 1, "group": 2, "static": 3}
 PRUNED_BY_CODE = ("", "dead", "group", "static")
 

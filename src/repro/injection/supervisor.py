@@ -678,28 +678,25 @@ def run_in_process(sim, runner, items, retries=DEFAULT_RETRIES,
                    on_incident=None, stop=None):
     """In-process execution with the lane engine when it applies.
 
-    The vectorized lane path (``batch_lanes > 1`` on a ``BATCHABLE``
-    backend) runs whole same-segment groups as one numpy pass, which
-    has no per-fault retry boundary -- so it is used exactly when no
-    chaos is configured, and an exception there propagates as it
-    always did.  Everything else goes through
+    The vectorized lane path (:meth:`~repro.injection.campaign
+    .FaultRunner.uses_lanes`) runs whole same-segment groups as one
+    numpy pass, which has no per-fault retry boundary -- so it is used
+    exactly when no chaos is configured, and an exception there
+    propagates as it always did.  Everything else goes through
     :func:`run_serial_supervised`.
     """
-    cfg = runner.config
-    specs = [spec for _, spec in items]
-    if (chaos is None and cfg.batch_lanes > 1 and type(sim).BATCHABLE
-            and len(specs) > 1):
+    if chaos is None and runner.uses_lanes(sim, len(items)):
         if stop is not None and stop():
             return {}, [], 0, True
-        indices = [index for index, _ in items]
-        on_batch = None
-        if on_record is not None:
-            def on_batch(start, batch_records):
-                for offset, record in enumerate(batch_records):
-                    on_record(indices[start + offset], record)
-        batch_records = runner.run_many(sim, specs, progress,
-                                        on_batch=on_batch)
-        return dict(zip(indices, batch_records)), [], 0, False
+        records = {}
+        batch = runner.run_many(sim, [spec for _, spec in items])
+        for done, ((index, _), record) in enumerate(zip(items, batch), 1):
+            records[index] = record
+            if on_record is not None:
+                on_record(index, record)
+            if progress is not None:
+                progress(done, len(items), record)
+        return records, [], 0, False
     return run_serial_supervised(
         sim, runner, items, retries=retries, chaos=chaos,
         progress=progress, on_record=on_record, on_incident=on_incident,

@@ -18,9 +18,7 @@ This package holds the two pieces:
   physical register file; rtl: the register-file macro and CPSR flops);
 * :class:`~repro.prune.pruner.FaultPruner` -- consulted by the
   campaign engine before the faulty phase: dead-interval faults are
-  classified Masked without simulation (exact, never statistical), and
-  -- opt-in, ``prune_mode="group"`` -- faults sharing a live interval
-  collapse to one representative injected right before its first read.
+  classified Masked without simulation (exact, never statistical).
 
 A third capture, :class:`~repro.prune.trace.RetiredPCTrace`, records
 just the golden retired-instruction stream -- the only instrumentation

@@ -1,4 +1,4 @@
-"""Dead-interval early classification and equivalence grouping.
+"""Dead-interval early classification.
 
 The pruner answers one question per sampled fault, *before* any
 simulation: what is the first thing the golden run does to the faulted
@@ -16,11 +16,7 @@ cell after the injection instant?
   hardware state itself and would report the surviving flip as latent
   corruption; there the fault is left to simulation.
 * **a read** -- the corruption is consumed and anything may happen:
-  the fault must be simulated (``dead`` mode), or -- opt-in ``group``
-  mode -- it joins the equivalence group of every sampled fault of the
-  same bit in the same live interval: the machine state at the first
-  read is identical for all of them, so one representative injected
-  just before that read stands for the group.
+  the fault must be simulated.
 
 Two refinements keep the classification *exact* on every tier:
 
@@ -79,30 +75,17 @@ class FaultLike(Protocol):
     @property
     def cycle(self) -> int: ...
 
-#: The campaign's pruning modes (``CampaignConfig.prune_mode``).
-#: ``off``/``dead``/``group`` are the dynamic trace-driven modes above;
-#: ``static`` classifies from the program text plus the retired-PC
-#: stream alone, with no access trace captured at all
-#: (:mod:`repro.staticcheck`).
-PRUNE_MODES = ("off", "dead", "group", "static")
+#: The campaign's pruning modes (``CampaignConfig.prune_mode``), the
+#: one list every entry point validates against.  ``off`` simulates
+#: every fault; ``dead`` is the trace-driven mode above; ``static``
+#: classifies from the program text plus the retired-PC stream alone,
+#: with no access trace captured at all (:mod:`repro.staticcheck`).
+PRUNE_MODES = ("off", "dead", "static")
 
 #: Detail strings of records classified without simulation.
 DEAD_OVERWRITE_DETAIL = "pruned: overwritten before next read"
 DEAD_SILENT_DETAIL = "pruned: never read again"
 DEAD_UNREACHABLE_DETAIL = "pruned: structurally unreachable cell"
-
-
-class GroupInterval:
-    """A live fault's position: the first golden read that consumes it."""
-
-    __slots__ = ("key", "read_cycle")
-
-    def __init__(self, key: tuple[str, int, int],
-                 read_cycle: int) -> None:
-        #: ``(structure, bit, event_position)`` -- faults sharing it are
-        #: injected into identical machine states at the same read.
-        self.key = key
-        self.read_cycle = read_cycle
 
 
 class FaultPruner:
@@ -186,33 +169,6 @@ class FaultPruner:
         if is_write:
             return FaultClass.MASKED, DEAD_OVERWRITE_DETAIL
         return None
-
-    def group_interval(self, fault: FaultLike) -> GroupInterval | None:
-        """The live interval of a *read-consumed* fault, or ``None``
-        when the fault is prunable/untraced/beyond the horizon
-        (callers check :meth:`classify` first; this returns ``None``
-        for anything that does not provably end in a read)."""
-        trace = self.trace
-        if not trace.traces(fault.structure):
-            return None
-        cell = trace.cell_of(fault.structure, fault.bit)
-        if not trace.reachable(fault.structure, cell):
-            return None
-        event, trustworthy = self._first_event_after_injection(fault)
-        if not trustworthy or event is None:
-            return None
-        cycle, is_write, position = event
-        if is_write:
-            return None
-        return GroupInterval((fault.structure, fault.bit, position),
-                             cycle)
-
-    def representative_cycle(self, interval: GroupInterval) -> int:
-        """The injection instant for a group representative: the latest
-        stop cycle at which the consuming read has not yet executed."""
-        if self.events_at_stop_executed:
-            return interval.read_cycle - 1
-        return interval.read_cycle
 
     def __repr__(self) -> str:
         return (

@@ -114,7 +114,7 @@ class LifetimeTrace:
 
         Returns ``(cycle, is_write, position)`` -- ``position`` is the
         event's index in the cell's stream, a stable identifier of the
-        interval boundary (the equivalence-grouping key) -- or ``None``
+        interval boundary -- or ``None``
         when the golden run never touches the cell again.
         """
         events = self._events[structure].get(cell)

@@ -35,7 +35,7 @@ File layout (all sections optional unless noted)::
 
     [execution]
     jobs = 1                    # or "auto" (one per CPU)
-    prune = "dead"              # "off" | "dead" | "group" | "static"
+    prune = "dead"              # "off" | "dead" | "static"
     store = "runs/fig1"
     store_format = "binary"     # fresh-store record format (default)
     resume = true
@@ -175,16 +175,15 @@ _TARGET_AXES = {
 SWEEP_AXES = tuple(_TARGET_AXES) + tuple(_SCALAR_AXES)
 
 _DISTRIBUTIONS = ("normal", "uniform")
-_PRUNE_MODES = PRUNE_MODES
 _SEED_POLICIES = ("shared", "per-cell")
 
 
 def _validate_axis_value(axis, value, field):
     """Validate one swept value of a scalar axis."""
     if axis == "prune":
-        if value not in _PRUNE_MODES:
+        if value not in PRUNE_MODES:
             raise ScenarioError(field, f"unknown prune mode {value!r}",
-                                hint=_suggest(value, _PRUNE_MODES))
+                                hint=_suggest(value, PRUNE_MODES))
         return value
     if axis == "distribution":
         if value not in _DISTRIBUTIONS:
@@ -499,10 +498,10 @@ class ScenarioSpec:
         _int_field("execution.lanes", self.lanes, minimum=1)
         _int_field("execution.retries", self.retries, minimum=1)
         _timeout_field("execution.batch_timeout", self.batch_timeout)
-        if self.prune not in _PRUNE_MODES:
+        if self.prune not in PRUNE_MODES:
             raise ScenarioError("execution.prune",
                                 f"unknown prune mode {self.prune!r}",
-                                hint=_suggest(self.prune, _PRUNE_MODES))
+                                hint=_suggest(self.prune, PRUNE_MODES))
         if self.store is not None and not isinstance(self.store, str):
             raise ScenarioError("execution.store",
                                 "must be a directory path string")

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.injection import executor
+from repro.injection import executor, supervisor
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.isa import assemble
 from repro.isa.toolchain import Toolchain
@@ -145,10 +145,11 @@ def test_config_describe_mentions_jobs():
 
 def test_jobs1_never_spawns_pool(tiny_program, monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("jobs=1 must not use the parallel executor")
+        raise AssertionError("jobs=1 must not start worker processes")
 
-    monkeypatch.setattr(executor, "run_parallel", boom)
+    monkeypatch.setattr(supervisor, "WorkerSupervisor", boom)
     monkeypatch.setattr(multiprocessing, "Pool", boom)
+    monkeypatch.setattr(multiprocessing, "Process", boom)
     result = run_campaign(tiny_program, jobs=1)
     assert result.n == 16
     assert result.jobs == 1

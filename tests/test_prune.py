@@ -7,9 +7,7 @@ The acceptance contract (companion to test_warmstart_equivalence.py):
 Pruned records differ only in their accounting (``detail`` explains the
 proof, ``sim_cycles`` is 0, ``pruned`` is set).
 
-Plus unit coverage of the trace/pruner pair and the ``group`` mode
-mechanics (opt-in, approximate windows -- only its bookkeeping is
-pinned, not class equality).
+Plus unit coverage of the trace/pruner pair.
 """
 
 import pytest
@@ -124,9 +122,6 @@ def test_pruner_read_first_is_live():
     trace.record("regfile", 1, 51, True)
     pruner = FaultPruner(trace, True, "pinout")
     assert pruner.classify(fault(32, 10)) is None
-    interval = pruner.group_interval(fault(32, 10))
-    assert interval is not None and interval.read_cycle == 50
-    assert pruner.representative_cycle(interval) == 49
 
 
 def test_pruner_stop_convention_shifts_the_threshold():
@@ -252,40 +247,6 @@ def test_summary_reports_prune_counts(level_results):
 
 
 # ----------------------------------------------------------------------
-# group mode (opt-in): bookkeeping, not class equality
-# ----------------------------------------------------------------------
-
-def test_group_mode_mechanics():
-    factory = registry.create_frontend("arch", WORKLOAD).sim_factory
-    grouped = run_campaign(factory, "arch", prune_mode="group")
-    dead = run_campaign(factory, "arch", prune_mode="dead")
-    assert grouped.n == SAMPLES
-    # Grouping can only reduce the number of simulated runs further.
-    assert grouped.simulated_count <= dead.simulated_count
-    members = [r for r in grouped.records if r.pruned == "group"]
-    for member in members:
-        # The member inherited a verdict reached by simulating its
-        # representative at the shared first-read instant.
-        assert member.sim_cycles == 0
-        reps = [r for r in grouped.records
-                if r.simulated and r.fault.bit == member.fault.bit
-                and r.fclass is member.fclass]
-        assert reps, "group member without a simulated representative"
-    # Every fault still carries exactly one record, so the AVF math
-    # (unsafe / n) stays consistently weighted.
-    assert grouped.simulated_count + grouped.pruned_count == SAMPLES
-
-
-def test_group_representative_moves_to_first_read():
-    factory = registry.create_frontend("arch", WORKLOAD).sim_factory
-    grouped = run_campaign(factory, "arch", prune_mode="group")
-    moved = [r for r in grouped.records
-             if r.simulated and r.fault.accelerated]
-    for r in moved:
-        assert r.fault.cycle >= r.fault.original_cycle
-
-
-# ----------------------------------------------------------------------
 # config / CLI / store plumbing
 # ----------------------------------------------------------------------
 
@@ -294,8 +255,68 @@ def test_config_validates_and_identifies_prune_mode():
         CampaignConfig(prune_mode="telepathy")
     assert CampaignConfig().prune_mode == "dead"
     assert CampaignConfig().identity()["prune_mode"] == "dead"
-    assert "prune=group" in CampaignConfig(prune_mode="group").describe()
+    assert "prune=static" in CampaignConfig(prune_mode="static").describe()
     assert "prune" not in CampaignConfig().describe()
+
+
+def test_group_prune_mode_is_rejected_at_every_entry_point(capsys):
+    """The approximate ``group`` mode is gone: the Python API, the
+    scenario spec and the CLI all refuse it."""
+    from repro import cli
+    from repro.scenario.spec import ScenarioError, ScenarioSpec
+
+    with pytest.raises(ValueError, match="unknown prune mode 'group'"):
+        CampaignConfig(prune_mode="group")
+    with pytest.raises(ScenarioError,
+                       match=r"valid: dead, off, static") as err:
+        ScenarioSpec.from_mapping({"execution": {"prune": "group"}})
+    assert err.value.field == "execution.prune"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "sweep-smoke", "--prune", "group"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'group'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("store_format", ["binary", "jsonl"])
+def test_legacy_group_records_load_but_never_resume(tmp_path, capsys,
+                                                    store_format):
+    """Stores written while ``group`` existed (pruned code 2) stay
+    readable, but no current prune mode may resume them."""
+    from repro import cli
+    from repro.analysis.report import store_table
+    from repro.injection.classify import FaultRecord
+    from repro.injection.store import CampaignStore, StoreMismatchError
+    from repro.prune import PRUNE_MODES
+
+    factory = registry.create_frontend("arch", WORKLOAD).sim_factory
+
+    def campaign(prune_mode):
+        config = CampaignConfig(samples=SAMPLES, window=WINDOW, seed=SEED,
+                                prune_mode=prune_mode)
+        return Campaign(factory, "regfile", config, workload=WORKLOAD,
+                        level="arch")
+
+    identity = campaign("dead").identity()
+    identity["config"]["prune_mode"] = "group"
+    path = tmp_path / "legacy"
+    store = CampaignStore(path, store_format=store_format)
+    store.begin(identity)
+    store.append(0, FaultRecord(fault(32, 10), FaultClass.SDC,
+                                "output mismatch", pruned="group"))
+    store.close()
+
+    record = CampaignStore(path).records()[0]
+    assert (record.pruned, record.fclass) == ("group", FaultClass.SDC)
+    assert not record.simulated
+    header, row = [line.split() for line in
+                   store_table([path]).splitlines()
+                   if "pruned" in line or str(path) in line]
+    assert row[header.index("pruned")] == "1"
+    cli.main(["store", str(path), "--export", "jsonl"])
+    assert '"pruned": "group"' in capsys.readouterr().out
+    for mode in PRUNE_MODES:
+        with pytest.raises(StoreMismatchError):
+            campaign(mode).run(store=CampaignStore(path), resume=True)
 
 
 def test_progress_counts_only_simulated_faults():
@@ -339,20 +360,6 @@ def test_store_rejects_prune_mode_mismatch(tmp_path):
     with pytest.raises(StoreMismatchError):
         run_campaign(factory, "arch", prune_mode="off",
                      store=CampaignStore(tmp_path / "s"), resume=True)
-
-
-def test_group_mode_store_resume_consistent(tmp_path):
-    from repro.injection.store import CampaignStore
-    from support import record_keys
-
-    factory = registry.create_frontend("arch", WORKLOAD).sim_factory
-    store = CampaignStore(tmp_path / "g")
-    first = run_campaign(factory, "arch", prune_mode="group", store=store)
-    resumed = run_campaign(factory, "arch", prune_mode="group",
-                           store=CampaignStore(tmp_path / "g"),
-                           resume=True)
-    assert resumed.resumed == SAMPLES
-    assert record_keys(resumed) == record_keys(first)
 
 
 def test_records_csv_carries_pruned_column():

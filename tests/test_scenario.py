@@ -558,20 +558,20 @@ def test_describe_headers_agree_on_shared_knobs():
     from repro.injection.campaign import CampaignConfig
 
     study = StudyConfig(workloads=("sha",), samples=5, jobs=4,
-                        batch_size=2, prune="group",
+                        batch_size=2, prune="static",
                         store="runs/x", resume=True).describe()
     campaign = CampaignConfig(samples=5, jobs=4, batch_size=2,
-                              prune_mode="group").describe()
-    for fragment in ("jobs=4", "batch=2", "prune=group"):
+                              prune_mode="static").describe()
+    for fragment in ("jobs=4", "batch=2", "prune=static"):
         assert fragment in study and fragment in campaign
     assert "store=runs/x" in study and "resume" in study
     assert "cold-start" in CampaignConfig(warm_start=False).describe()
 
 
 def test_scenario_describe_uses_the_same_table():
-    spec = make_spec(execution={"jobs": 4, "prune": "group"})
+    spec = make_spec(execution={"jobs": 4, "prune": "static"})
     text = spec.describe()
-    assert "jobs=4" in text and "prune=group" in text
+    assert "jobs=4" in text and "prune=static" in text
     assert "1 cells x 4 faults" in text
 
 

@@ -158,6 +158,9 @@ def test_config_validates_start_method_eagerly():
     {"samples": -1}, {"samples": 2.5}, {"samples": True},
     {"retries": 0}, {"retries": -1}, {"retries": 1.5},
     {"batch_timeout": 0}, {"batch_timeout": -3}, {"batch_timeout": "5"},
+    {"window": 0}, {"window": -50}, {"window": 2.5}, {"window": True},
+    {"hang_factor": -1.0}, {"hang_factor": 0.5}, {"hang_factor": True},
+    {"hang_factor": "3"}, {"hang_factor": float("nan")},
 ])
 def test_config_rejects_bad_execution_knobs(kwargs):
     with pytest.raises((ValueError, TypeError)):

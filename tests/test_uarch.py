@@ -159,9 +159,10 @@ def test_stop_cycle_semantics():
 
 
 def test_watchdog_timeout():
-    sim, status = run_uarch("loop: b loop\n")
-    del sim
-    assert status is RunStatus.FAULT or status is RunStatus.TIMEOUT
+    program = assemble(".text\n_start:\nloop: b loop\n")
+    sim = MicroArchSim(program, FAST_CONFIG)
+    status = sim.run(max_cycles=20_000)
+    assert status is RunStatus.TIMEOUT and sim.cycle == 20_000
 
 
 @pytest.mark.parametrize("name", ("fft", "qsort", "sha", "stringsearch"))
