@@ -51,8 +51,8 @@ lint:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
 
-# The resumable-campaign smoke: the same fig1 command twice -- the first
-# populates a fresh store (a --resume of an empty store is a fresh
+# The resumable-campaign smoke: the same `run fig1` command twice -- the
+# first populates a fresh store (a --resume of an empty store is a fresh
 # start), the second resumes it and must re-run nothing -- then the
 # store summary.  The static legs re-run fig1's cells (and, below, the
 # sweep's arch cell) with prune=static -- capture-free dataflow
@@ -86,16 +86,17 @@ bench:
 # test` first, so the expensive cold campaign is not paid twice).
 bench-smoke:
 	rm -rf benchmarks/results/smoke_store benchmarks/results/smoke_prune
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fig1 \
-	  --workloads stringsearch --faults 20 --jobs 2 \
-	  --store benchmarks/results/smoke_store --resume
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fig1 \
-	  --workloads stringsearch --faults 20 --jobs 2 \
-	  --store benchmarks/results/smoke_store --resume
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --jobs 2 --store benchmarks/results/smoke_store --resume
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --jobs 2 --store benchmarks/results/smoke_store --resume
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli store \
 	  benchmarks/results/smoke_store/*
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fig1 \
-	  --workloads stringsearch --faults 20 --jobs 2 --prune off \
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --jobs 2 --prune off \
 	  --store benchmarks/results/smoke_prune
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_store/uarch-stringsearch-regfile-pinout \
@@ -105,8 +106,9 @@ bench-smoke:
 	  benchmarks/results/smoke_prune/rtl-stringsearch-regfile-pinout
 	rm -rf benchmarks/results/smoke_static
 	REPRO_STATIC_XCHECK=1 \
-	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fig1 \
-	  --workloads stringsearch --faults 20 --jobs 2 --prune static \
+	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --jobs 2 --prune static \
 	  --store benchmarks/results/smoke_static
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_static/uarch-stringsearch-regfile-pinout \

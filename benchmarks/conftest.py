@@ -26,7 +26,7 @@ import pathlib
 
 import pytest
 
-from repro.core.study import CrossLevelStudy, StudyConfig
+from repro.scenario import ScenarioRunner, load_preset
 from repro.workloads.registry import WORKLOAD_NAMES
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -43,12 +43,36 @@ def bench_workloads():
     return tuple(w.strip() for w in text.split(",") if w.strip())
 
 
+def bench_preset(name):
+    """Preset ``name`` at the bench budget: the bench workloads, the
+    bench sample count and the paper seed."""
+    return load_preset(name, overrides=[
+        "targets.workloads=" + ",".join(bench_workloads()),
+        f"faults.samples={bench_samples()}",
+        "faults.seed=2017",
+    ])
+
+
 @pytest.fixture(scope="session")
-def study():
-    """One shared study: figure benches reuse cached campaign series."""
-    config = StudyConfig(workloads=bench_workloads(),
-                         samples=bench_samples(), seed=2017)
-    return CrossLevelStudy(config)
+def run_preset():
+    """Run a preset at the bench budget: ``run_preset(name)`` returns
+    ``(spec, ResultSet)``.
+
+    Cells are filtered to the bench workloads, including grid blocks
+    that pin their own (Fig. 3's), so ``REPRO_BENCH_WORKLOADS`` bounds
+    every preset.  One runner serves the whole session, so a preset
+    whose cells an earlier bench already ran (headline after fig1 and
+    fig3) recalls them from the runner's cell cache.
+    """
+    runner = ScenarioRunner(bench_preset("fig1"))
+    workloads = bench_workloads()
+
+    def run(name):
+        spec = bench_preset(name)
+        return spec, runner.run([cell for cell in spec.cells()
+                                 if cell.workload in workloads])
+
+    return run
 
 
 def save_artifact(name, text):

@@ -11,20 +11,26 @@ from conftest import bench_samples, save_artifact
 
 from repro.analysis.compare import CrossLevelComparison
 from repro.analysis.report import render_table
-from repro.core.study import CrossLevelStudy, StudyConfig
+from repro.scenario import ScenarioRunner, load_preset
 
 WORKLOADS = ("sha", "qsort")
 
 
 def _mean_delta(same_binaries, samples):
-    config = StudyConfig(workloads=WORKLOADS, samples=samples,
-                         same_binaries=same_binaries)
-    study = CrossLevelStudy(config)
-    fig1 = study.figure1()
+    # One runner per toolchain setting: a cell's identity does not
+    # cover same_binaries, so a shared cell cache would mix the two.
+    spec = load_preset("fig1", overrides=[
+        "targets.workloads=" + ",".join(WORKLOADS),
+        f"faults.samples={samples}",
+        f"execution.same_binaries={str(same_binaries).lower()}",
+    ])
+    cells = [cell for cell in spec.cells() if cell.mode == "pinout"]
+    results = ScenarioRunner(spec).run(cells)
     comparison = CrossLevelComparison("regfile")
     for workload in WORKLOADS:
-        comparison.add_results(fig1["GeFIN"][workload],
-                               fig1["RTL"][workload])
+        comparison.add_results(
+            results.where(level="uarch", workload=workload).one(),
+            results.where(level="rtl", workload=workload).one())
     return comparison
 
 

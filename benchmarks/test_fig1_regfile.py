@@ -9,12 +9,14 @@ cross-level deltas on most benchmarks, no-timer >= windowed.
 from conftest import save_artifact
 
 from repro.analysis.report import campaign_table
-from repro.core.figures import figure1_chart
+from repro.core.figures import chart_from_resultset
 
 
-def test_fig1_regfile(benchmark, study):
-    results = benchmark.pedantic(study.figure1, rounds=1, iterations=1)
-    chart = figure1_chart(results)
+def test_fig1_regfile(benchmark, run_preset):
+    spec, resultset = benchmark.pedantic(lambda: run_preset("fig1"),
+                                         rounds=1, iterations=1)
+    chart = chart_from_resultset(resultset, spec.present)
+    results = resultset.series(spec.present["series"])
     flat = [r for series in results.values() for r in series.values()]
     table = campaign_table(flat, title="Fig. 1 campaign details")
     save_artifact("fig1_regfile.txt", chart + "\n\n" + table)

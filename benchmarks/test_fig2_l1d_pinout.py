@@ -10,12 +10,14 @@ why it reports *more* than GeFIN inside the same window.
 from conftest import save_artifact
 
 from repro.analysis.report import campaign_table
-from repro.core.figures import figure2_chart
+from repro.core.figures import chart_from_resultset
 
 
-def test_fig2_l1d_pinout(benchmark, study):
-    results = benchmark.pedantic(study.figure2, rounds=1, iterations=1)
-    chart = figure2_chart(results)
+def test_fig2_l1d_pinout(benchmark, run_preset):
+    spec, resultset = benchmark.pedantic(lambda: run_preset("fig2"),
+                                         rounds=1, iterations=1)
+    chart = chart_from_resultset(resultset, spec.present)
+    results = resultset.series(spec.present["series"])
     flat = [r for series in results.values() for r in series.values()]
     table = campaign_table(flat, title="Fig. 2 campaign details")
     save_artifact("fig2_l1d_pinout.txt", chart + "\n\n" + table)

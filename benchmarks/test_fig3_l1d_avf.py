@@ -9,18 +9,14 @@ experiments in the study.
 from conftest import save_artifact
 
 from repro.analysis.report import campaign_table
-from repro.core.figures import figure3_chart
-from repro.core.study import FIG3_WORKLOADS
+from repro.core.figures import chart_from_resultset
 
 
-def test_fig3_l1d_avf(benchmark, study):
-    workloads = [w for w in FIG3_WORKLOADS
-                 if w in study.config.workloads]
-    results = benchmark.pedantic(
-        lambda: study.figure3(workloads=tuple(workloads)),
-        rounds=1, iterations=1,
-    )
-    chart = figure3_chart(results)
+def test_fig3_l1d_avf(benchmark, run_preset):
+    spec, resultset = benchmark.pedantic(lambda: run_preset("fig3"),
+                                         rounds=1, iterations=1)
+    chart = chart_from_resultset(resultset, spec.present)
+    results = resultset.series(spec.present["series"])
     flat = [r for series in results.values() for r in series.values()]
     table = campaign_table(flat, title="Fig. 3 campaign details")
     save_artifact("fig3_l1d_avf.txt", chart + "\n\n" + table)

@@ -26,7 +26,6 @@ The per-level front-ends remain available for one-off campaigns:
 True
 """
 
-from repro.core import CrossLevelStudy, StudyConfig
 from repro.injection import ArchEmu, GeFIN, SafetyVerifier
 from repro.scenario import (
     ResultSet,
@@ -41,7 +40,6 @@ from repro.scenario import (
 #: both read it from here.
 __version__ = "0.2.0"
 
-__all__ = ["ArchEmu", "CrossLevelStudy", "GeFIN", "ResultSet",
-           "SafetyVerifier", "ScenarioError", "ScenarioRunner",
-           "ScenarioSpec", "StudyConfig", "load_preset", "load_scenario",
-           "__version__"]
+__all__ = ["ArchEmu", "GeFIN", "ResultSet", "SafetyVerifier",
+           "ScenarioError", "ScenarioRunner", "ScenarioSpec",
+           "load_preset", "load_scenario", "__version__"]

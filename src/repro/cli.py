@@ -1,21 +1,20 @@
 """Command-line entry point: ``repro-study``.
 
-The primary command runs a declarative scenario (see DESIGN.md's
-"scenario layer" section for the spec reference)::
+One command launches every campaign: ``run`` executes a declarative
+scenario file or a built-in preset (see DESIGN.md's "scenario layer"
+section for the spec reference)::
 
     repro-study run scenario.toml [--set key=value] [--csv out.csv]
     repro-study run fig1 --set faults.samples=100   # built-in preset
     repro-study list                                 # valid spec values
 
 The paper's artifacts are committed preset scenarios
-(``src/repro/scenario/presets/*.toml``); the historical subcommands are
-thin loaders over them and stay bit-identical to the pre-scenario code
-paths::
+(``src/repro/scenario/presets/*.toml``), and ``fig1``, ``fig2``,
+``fig3``, ``headline`` and ``table2`` are argv aliases of ``run``:
+``repro-study fig1 ARGS`` is ``repro-study run fig1 ARGS``.  The
+remaining subcommands run no campaign grid::
 
     repro-study table1
-    repro-study table2 [--workloads sha,fft] [--no-trace]
-    repro-study fig1|fig2|fig3 [--samples N] [--workloads ...] [--jobs N]
-    repro-study headline [--samples N] [--jobs N]
     repro-study golden <workload> [--level arch|uarch|rtl]
     repro-study store <dir> [<dir> ...] [--export jsonl]
     repro-study staticcheck [<workload>] [--all]
@@ -24,12 +23,11 @@ paths::
 (``repro.sim.registry``): the architectural emulator (``arch``), the
 microarchitectural model (``uarch``) and the RT-level model (``rtl``).
 
-Campaign-running subcommands (``run``, ``fig1``..``fig3``,
-``headline``) accept ``--jobs`` to fan the faulty runs of each campaign
-out over a process pool (default: one worker per CPU; ``--jobs 1``
-forces the serial path), ``--prune {off,dead,static}`` to control
-fault pruning -- lifetime-aware from the golden access trace
-(``dead``) or capture-free from static dataflow analysis of
+``run`` accepts ``--jobs`` to fan the faulty runs of each campaign out
+over a process pool (default: the spec's ``execution.jobs``, which
+every preset leaves at 1, the serial path), ``--prune {off,dead,static}``
+to control fault pruning -- lifetime-aware from the golden access
+trace (``dead``) or capture-free from static dataflow analysis of
 the program text (``static``, :mod:`repro.staticcheck`; arch and rtl
 tiers) -- plus ``--store DIR``
 to persist every completed fault to an on-disk campaign store and
@@ -53,11 +51,15 @@ semantics".
 import argparse
 import sys
 
+#: Subcommands that are argv aliases of ``run <preset>``.
+PRESET_ALIASES = ("fig1", "fig2", "fig3", "headline", "table2")
+
 #: Shared text for the --jobs flag (also referenced from README.md).
 JOBS_HELP = (
     "worker processes per campaign's faulty-run phase "
-    "(default: one per CPU; 1 = serial, deterministic baseline; "
-    "results are identical for any value)"
+    "(default: the spec's execution.jobs, 1 in every preset; "
+    "1 = serial, deterministic baseline; per-fault classes are "
+    "identical for any value, only wall time changes)"
 )
 
 STORE_HELP = (
@@ -112,8 +114,14 @@ overrides any spec key from the command line.  Output: each cell's
 summary table (plus the preset's figure/headline rendering when the
 scenario carries a [present] block); `--csv` exports the ResultSet.
 
+The presets fig1, fig2, fig3, headline and table2 are also
+subcommands of their own: `repro-study fig1 ARGS` is `repro-study run
+fig1 ARGS`.
+
 examples:
   repro-study run fig1 --set faults.samples=100
+  repro-study fig1 --set targets.workloads=sha,fft --jobs 4
+  repro-study table2 --set present.rtl_traced=false
   repro-study run sweep.toml --set sweep.prune=off,dead --csv out.csv
   repro-study run sweep-smoke --set execution.store=runs/smoke""",
     "list": """\
@@ -124,36 +132,6 @@ structures, workloads, sweepable axes and built-in presets.""",
 Renders Table I: the Cortex-A9 configuration used at both abstraction
 levels (pipeline geometry, cache organisation, predictor).  Static --
 runs no simulation.""",
-    "table2": """\
-Renders Table II: simulation throughput per framework (RT level with
-signal tracing vs microarchitecture level), the paper's 198.6x-style
-comparison.  Runs one golden simulation per workload and level.
-
-examples:
-  repro-study table2 --workloads sha,fft
-  repro-study table2 --no-trace     # untraced RTL throughput""",
-    "fig1": """\
-Regenerates Figure 1: register-file unsafeness at the core-pinout
-observation point, 20 kcycle (scaled) window -- GeFIN vs RTL vs
-GeFIN-no-timer.  Loads the committed preset scenario
-src/repro/scenario/presets/fig1.toml.
-
-examples:
-  repro-study fig1 --samples 100 --jobs 4
-  REPRO_SFI_SAMPLES=200 repro-study fig1 --workloads sha""",
-    "fig2": """\
-Regenerates Figure 2: L1 data-cache unsafeness at the core pinout,
-windowed; the RTL series uses the paper's inject-near-consumption
-acceleration (SS IV-B).  Preset: presets/fig2.toml.""",
-    "fig3": """\
-Regenerates Figure 3: L1D AVF with the software observation point
-(program-output comparison, run to completion) on the short workloads
-the paper's RTL flow can afford.  Preset: presets/fig3.toml.""",
-    "headline": """\
-Reproduces the abstract's headline numbers: the cross-level unsafeness
-deltas for the register file (from Fig. 1) and the L1D (from Fig. 3),
-plus a wall-clock accounting of the campaign executor (speedup vs the
-estimated serial time when --jobs > 1).  Preset: presets/headline.toml.""",
     "golden": """\
 One fault-free run of a workload; prints cycles, instructions, cache
 and predictor statistics and the program output.  Useful to sanity-check
@@ -174,7 +152,7 @@ JSONL stores (format 1) are parsed.  `--export jsonl` prints one
 store's records as JSONL on stdout -- the debug view of a binary store.
 
 examples:
-  repro-study fig1 --samples 100 --store runs/fig1 --jobs 4
+  repro-study fig1 --set faults.samples=100 --store runs/fig1 --jobs 4
   repro-study store runs/fig1/*
   repro-study store runs/fig1/uarch-sha-regfile-pinout --export jsonl""",
     "staticcheck": """\
@@ -208,18 +186,6 @@ def _positive_retries(text):
             f"must be a positive attempt count, got {value}"
         )
     return value
-
-
-def _parse_workloads(text):
-    from repro.workloads.registry import WORKLOAD_NAMES
-
-    if not text:
-        return WORKLOAD_NAMES
-    names = tuple(name.strip() for name in text.split(",") if name.strip())
-    unknown = [n for n in names if n not in WORKLOAD_NAMES]
-    if unknown:
-        raise SystemExit(f"unknown workloads: {unknown}")
-    return names
 
 
 # ----------------------------------------------------------------------
@@ -267,23 +233,16 @@ def _warn_degraded(resultset):
 def _render_headline(spec, resultset):
     """The headline preset's rendering: one cross-level comparison
     table per [present.comparisons] entry, then the wall-clock
-    accounting over every campaign in [present.series] order --
-    the historical `headline` output, reproduced from the ResultSet."""
-    from repro.analysis.compare import CrossLevelComparison
+    accounting over every campaign in [present.series] order."""
     from repro.analysis.report import render_table, speedup_table
+    from repro.core.figures import comparisons_from_resultset
 
-    for comp in spec.present.get("comparisons", []):
-        comparison = CrossLevelComparison(comp["structure"],
-                                          comp.get("mode", ""))
-        gefin = resultset.where(**comp["gefin"])
-        rtl = resultset.where(**comp["rtl"])
-        for cell, gefin_result in gefin:
-            rtl_result = rtl.where(workload=cell.workload).one()
-            comparison.add_results(gefin_result, rtl_result)
+    comparisons = comparisons_from_resultset(resultset, spec.present)
+    for name, comparison in comparisons.items():
         print(render_table(
             ("workload", "GeFIN", "RTL", "delta (pp)", "delta (rel)"),
             comparison.rows(),
-            title=f"Cross-level delta: {comp['name']}",
+            title=f"Cross-level delta: {name}",
         ))
         print()
     campaigns = [
@@ -377,38 +336,6 @@ def _cmd_run(args):
               file=sys.stderr)
 
 
-def _legacy_overrides(args):
-    """Map the historical figure-subcommand flags onto --set pairs."""
-    overrides = [f"execution.jobs={args.jobs}",
-                 f"execution.prune={args.prune}",
-                 f"faults.seed={args.seed}"]
-    if args.lanes is not None and args.lanes != 1:
-        overrides.append(f"execution.lanes={args.lanes}")
-    if getattr(args, "retries", None) is not None:
-        overrides.append(f"execution.retries={args.retries}")
-    if args.workloads:
-        overrides.append("targets.workloads="
-                         + ",".join(_parse_workloads(args.workloads)))
-    if args.samples is not None:
-        overrides.append(f"faults.samples={args.samples}")
-    if args.store:
-        overrides.append((("execution", "store"), args.store))
-        if getattr(args, "store_format", None) is not None:
-            overrides.append(
-                f"execution.store_format={args.store_format}")
-        if args.resume:
-            overrides.append("execution.resume=true")
-    return overrides
-
-
-def _load_legacy_preset(name, args):
-    from repro.scenario.presets import load_preset
-
-    if args.resume and not args.store:
-        raise SystemExit("--resume requires --store")
-    return load_preset(name, overrides=_legacy_overrides(args))
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers
 # ----------------------------------------------------------------------
@@ -452,32 +379,6 @@ def _cmd_table1(_args):
     from repro.core.tables import render_table1
 
     print(render_table1())
-
-
-def _cmd_table2(args):
-    from repro.scenario.presets import load_preset
-
-    overrides = []
-    if args.workloads:
-        overrides.append("targets.workloads="
-                         + ",".join(_parse_workloads(args.workloads)))
-    if args.no_trace:
-        overrides.append("present.rtl_traced=false")
-    _render_table2(load_preset("table2", overrides=overrides))
-
-
-def _cmd_fig(args, which):
-    from repro.core.figures import chart_from_resultset
-
-    spec = _load_legacy_preset(f"fig{which}", args)
-    resultset = _run_scenario(spec)
-    print(chart_from_resultset(resultset, spec.present))
-
-
-def _cmd_headline(args):
-    spec = _load_legacy_preset("headline", args)
-    resultset = _run_scenario(spec)
-    _render_headline(spec, resultset)
 
 
 def _cmd_store(args):
@@ -554,6 +455,10 @@ def main(argv=None):
     from repro import __version__
     from repro.prune import PRUNE_MODES
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in PRESET_ALIASES:
+        argv.insert(0, "run")
+
     parser = argparse.ArgumentParser(
         prog="repro-study",
         description=__doc__,
@@ -575,8 +480,7 @@ def main(argv=None):
                        help="write the ResultSet summary CSV "
                             "(one row per cell) to PATH")
     p_run.add_argument("--jobs", type=_positive_jobs, default=None,
-                       help=JOBS_HELP + " (default: the spec's "
-                            "execution.jobs)")
+                       help=JOBS_HELP)
     p_run.add_argument("--lanes", type=_positive_jobs, default=None,
                        help=LANES_HELP + " (default: the spec's "
                             "execution.lanes)")
@@ -591,44 +495,6 @@ def main(argv=None):
     _add_parser(sub, "list",
                 "valid scenario spec values (levels, workloads, ...)")
     _add_parser(sub, "table1", "Table I: simulated CPU configuration")
-    p_table2 = _add_parser(
-        sub, "table2", "Table II: per-framework simulation throughput")
-    p_table2.add_argument("--workloads", default="",
-                          help="comma-separated workload subset "
-                               "(default: all)")
-    p_table2.add_argument("--no-trace", action="store_true",
-                          help="disable RTL signal tracing (faster, "
-                               "less NCSIM-like)")
-    fig_help = {
-        "fig1": "Figure 1: register-file unsafeness, pinout OP",
-        "fig2": "Figure 2: L1D unsafeness, pinout OP",
-        "fig3": "Figure 3: L1D AVF, software OP",
-        "headline": "the abstract's cross-level deltas + wall clock",
-    }
-    from repro.injection.executor import default_jobs
-
-    for name in ("fig1", "fig2", "fig3", "headline"):
-        p = _add_parser(sub, name, fig_help[name])
-        p.add_argument("--workloads", default="",
-                       help="comma-separated workload subset "
-                            "(default: all)")
-        p.add_argument("--samples", "--faults", type=int, default=None,
-                       help="faults per (workload, structure, mode) "
-                            "series (default: REPRO_SFI_SAMPLES or 40)")
-        p.add_argument("--seed", type=int, default=2017,
-                       help="campaign RNG seed (default: 2017)")
-        p.add_argument("--jobs", type=_positive_jobs,
-                       default=default_jobs(), help=JOBS_HELP)
-        p.add_argument("--lanes", type=_positive_jobs, default=None,
-                       help=LANES_HELP)
-        p.add_argument("--prune", choices=PRUNE_MODES,
-                       default="dead", help=PRUNE_HELP)
-        p.add_argument("--retries", type=_positive_retries, default=None,
-                       help=RETRIES_HELP)
-        p.add_argument("--store", default=None, help=STORE_HELP)
-        p.add_argument("--store-format", choices=("binary", "jsonl"),
-                       default=None, help=STORE_FORMAT_HELP)
-        p.add_argument("--resume", action="store_true", help=RESUME_HELP)
     p_store = _add_parser(sub, "store",
                           "summarize on-disk campaign stores")
     p_store.add_argument("stores", nargs="+",
@@ -669,16 +535,6 @@ def main(argv=None):
             _cmd_list(args)
         elif args.command == "table1":
             _cmd_table1(args)
-        elif args.command == "table2":
-            _cmd_table2(args)
-        elif args.command == "fig1":
-            _cmd_fig(args, 1)
-        elif args.command == "fig2":
-            _cmd_fig(args, 2)
-        elif args.command == "fig3":
-            _cmd_fig(args, 3)
-        elif args.command == "headline":
-            _cmd_headline(args)
         elif args.command == "golden":
             _cmd_golden(args)
         elif args.command == "store":

@@ -1,19 +1,6 @@
-"""The paper's primary contribution: the cross-level reliability study.
-
-:class:`CrossLevelStudy` configures the two injection front-ends
-equivalently (same workloads, equivalent structures, same fault samples,
-same observation points and termination rules) and regenerates every
-table and figure of the paper's evaluation.
+"""The paper's evaluation artifacts: Table I/II rows and renderers
+(:mod:`repro.core.tables`) and the figure/headline renderers over a
+scenario :class:`~repro.scenario.resultset.ResultSet`
+(:mod:`repro.core.figures`).  Campaigns launch through
+:mod:`repro.scenario`.
 """
-
-from repro.core.figures import figure_series
-from repro.core.study import CrossLevelStudy, StudyConfig
-from repro.core.tables import table1_rows, table2_rows
-
-__all__ = [
-    "CrossLevelStudy",
-    "StudyConfig",
-    "figure_series",
-    "table1_rows",
-    "table2_rows",
-]

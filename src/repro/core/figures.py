@@ -1,12 +1,13 @@
-"""Rendering of the paper's Figures 1-3 as grouped bar charts.
+"""Rendering of the paper's Figures 1-3 and headline comparisons.
 
-Figures render from the legacy ``{series: {workload: CampaignResult}}``
-dictionaries; :func:`chart_from_resultset` adapts a scenario
-:class:`~repro.scenario.resultset.ResultSet` plus a preset's
-``[present]`` block into exactly that shape, which is how the preset
-path reproduces the historical charts bit for bit.
+Figures render from ``{series: {workload: CampaignResult}}``
+dictionaries; :func:`chart_from_resultset` shapes a scenario
+:class:`~repro.scenario.resultset.ResultSet` that way through a preset's
+``[present]`` block, and :func:`comparisons_from_resultset` builds the
+headline preset's cross-level comparisons from the same block.
 """
 
+from repro.analysis.compare import CrossLevelComparison
 from repro.analysis.report import bar_chart
 
 
@@ -19,6 +20,26 @@ def chart_from_resultset(resultset, present):
     """
     series = resultset.series(present["series"])
     return render_figure(series, present["title"])
+
+
+def comparisons_from_resultset(resultset, present):
+    """The cross-level comparisons of a ``[present]`` block.
+
+    Returns ``{name: CrossLevelComparison}`` in
+    ``[[present.comparisons]]`` order.  Each entry pairs every cell its
+    ``gefin`` filter selects with the ``rtl``-side cell of the same
+    workload, in cell order.
+    """
+    comparisons = {}
+    for comp in present.get("comparisons", []):
+        comparison = CrossLevelComparison(comp["structure"],
+                                          comp.get("mode", ""))
+        rtl = resultset.where(**comp["rtl"])
+        for cell, gefin_result in resultset.where(**comp["gefin"]):
+            comparison.add_results(
+                gefin_result, rtl.where(workload=cell.workload).one())
+        comparisons[comp["name"]] = comparison
+    return comparisons
 
 
 def figure_series(series_results):
@@ -34,22 +55,3 @@ def figure_series(series_results):
 def render_figure(series_results, title):
     series, labels = figure_series(series_results)
     return bar_chart(series, labels, title=title)
-
-
-def figure1_chart(results):
-    return render_figure(
-        results, "Fig. 1: Register File vulnerability (unsafeness)"
-    )
-
-
-def figure2_chart(results):
-    return render_figure(
-        results, "Fig. 2: L1D cache vulnerability (unsafeness)"
-    )
-
-
-def figure3_chart(results):
-    return render_figure(
-        results,
-        "Fig. 3: L1D cache AVF using software observation point",
-    )

@@ -14,9 +14,9 @@ the returned :class:`ResultSet`::
     rtl = results.where(level="rtl", prune="off")
     print(results.table())
 
-The paper's figures are built-in presets (:func:`load_preset`); the
-legacy ``repro-study fig1``-style subcommands are thin loaders over
-them.
+The paper's figures are built-in presets (:func:`load_preset`), run
+from the command line as ``repro-study run fig1`` (or its argv alias
+``repro-study fig1``).
 """
 
 from repro.scenario.presets import load_preset, preset_names, preset_path

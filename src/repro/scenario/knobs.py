@@ -1,19 +1,18 @@
 """The shared run-header knob table.
 
-``CampaignConfig.describe()`` and ``StudyConfig.describe()`` used to
-format their knob fragments independently, and every PR that added a
-knob (jobs, store, resume, prune, ...) had to remember to extend both
--- PR 3 and PR 4 each caught a silent omission in review.  This module
-is the single source of truth: one ordered table of knobs, one renderer
-per knob, and one :func:`describe_knobs` that both configs (and
-:meth:`repro.scenario.spec.ScenarioSpec.describe`) call with whatever
-subset of knob values they carry.
+``CampaignConfig.describe()`` and
+:meth:`repro.scenario.spec.ScenarioSpec.describe` both render their
+run headers through this module: one ordered table of knobs, one
+renderer per knob, and one :func:`describe_knobs` that each config
+calls with whatever subset of knob values it carries, so a new knob
+(jobs, store, resume, prune, ...) is taught to every header in one
+place.
 
 Adding a knob to a config without teaching this table about it fails
 the drift guard in ``tests/test_scenario.py``: every constructor
-parameter of the two config classes must appear either in
-:data:`KNOB_ORDER` (possibly via the composite ``parallel`` knob) or in
-the explicit header-exclusion set for that config.
+parameter of ``CampaignConfig`` and ``ScenarioSpec`` must appear either
+in :data:`KNOB_ORDER` (possibly via the composite ``parallel`` knob) or
+in that config's explicit header-exclusion set.
 """
 
 
@@ -70,20 +69,13 @@ CAMPAIGN_HEADER_EXCLUDED = frozenset({
     "confidence", "checkpoint_interval", "checkpoint_bound", "early_stop",
 })
 
-#: ``StudyConfig.__init__`` parameters outside the fragment table:
-#: ``workloads``/``samples`` form the header head, ``same_binaries`` is
-#: an ablation switch reported by the per-campaign toolchain column.
-STUDY_HEADER_EXCLUDED = frozenset({"workloads", "same_binaries"})
-
 #: __init__ parameter -> knob-table name where they differ.
 PARAM_ALIASES = {
     "prune_mode": "prune",
-    "prune": "prune",
     "jobs": "parallel",
     "batch_size": "parallel",
     "start_method": "parallel",
     "batch_lanes": "lanes",
-    "lanes": "lanes",
 }
 
 

@@ -1,11 +1,11 @@
 """Built-in scenario presets.
 
-The paper's figure subcommands are not special code paths anymore: each
-is a committed scenario file under ``src/repro/scenario/presets/``, and
-the legacy CLI subcommands (``fig1``..``fig3``, ``table2``,
-``headline``) load these files and route them through the standard
-:class:`~repro.scenario.runner.ScenarioRunner`.  ``repro-study run
-fig1`` and ``repro-study fig1`` are therefore the same experiment.
+Each of the paper's artifacts is a committed scenario file under
+``src/repro/scenario/presets/``, run through the standard
+:class:`~repro.scenario.runner.ScenarioRunner` by ``repro-study run
+<name>``.  The CLI subcommands ``fig1``..``fig3``, ``headline`` and
+``table2`` are argv aliases of ``run <name>``, so ``repro-study fig1``
+and ``repro-study run fig1`` are the same command.
 """
 
 import pathlib

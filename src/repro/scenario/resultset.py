@@ -128,7 +128,7 @@ class ResultSet:
         return results_to_csv(self.results, cells=self.cells)
 
     def series(self, series_defs):
-        """Shape the set like the legacy figure dictionaries:
+        """Shape the set like the figure renderers' dictionaries:
         ``{series_name: {workload: result}}``.
 
         ``series_defs`` is an iterable of mappings with ``name``,

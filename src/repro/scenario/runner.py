@@ -70,23 +70,6 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------
 
-    def release_goldens(self, keep_workload=None):
-        """Drop pooled golden captures -- all of them, or all but one
-        workload's.
-
-        A :class:`~repro.injection.campaign.SharedGolden` holds a live
-        simulator plus its checkpoint cache, so an unbounded pool
-        would keep one machine snapshot set resident per (level,
-        workload) for the runner's lifetime.  :meth:`run` calls this
-        automatically once a (level, workload) pair has no cells left;
-        workload-major drivers (the legacy study) call it with
-        ``keep_workload`` at each workload boundary.  Cell *results*
-        stay cached either way.
-        """
-        for key in list(self._golden_pool):
-            if keep_workload is None or key[1] != keep_workload:
-                del self._golden_pool[key]
-
     def run_cell(self, cell):
         """Run (or recall) one cell's campaign."""
         identity = cell.identity()

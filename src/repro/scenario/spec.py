@@ -55,12 +55,23 @@ import dataclasses
 import difflib
 import itertools
 import json
+import os
 import pathlib
 import zlib
 
 from repro.prune import PRUNE_MODES
 from repro.sim import registry as sim_registry
 from repro.workloads.registry import WORKLOAD_NAMES
+
+
+def default_samples():
+    """Sample count per cell when a spec leaves ``faults.samples`` unset.
+
+    The Leveugle-exact size is ~4000 (reported in every result); the
+    default here is wall-clock bounded and overridable with
+    ``REPRO_SFI_SAMPLES``.
+    """
+    return int(os.environ.get("REPRO_SFI_SAMPLES", "40"))
 
 
 class ScenarioError(ValueError):
@@ -271,8 +282,8 @@ class CellSpec:
     def store_name(self):
         """Per-cell store subdirectory.  Matches the historical
         ``level-workload-structure-mode`` naming exactly when no scalar
-        sweep axis is active, so presets write to the same store
-        directories the legacy subcommands always did."""
+        sweep axis is active, so a preset's cell stores keep the
+        directory names every earlier release wrote."""
         name = f"{self.level}-{self.workload}-{self.structure}-{self.mode}"
         for key, value in self.axes:
             if key not in _TARGET_AXES:
@@ -720,8 +731,6 @@ class ScenarioSpec:
         environment-tunable default, as the CLI always has)."""
         if self.samples is not None:
             return self.samples
-        from repro.core.study import default_samples
-
         return default_samples()
 
     def cells(self):
@@ -792,23 +801,6 @@ class ScenarioSpec:
                         lanes=self.lanes,
                         axes=axes,
                     )
-
-    def cell(self, level, workload, structure, mode, **overrides):
-        """One ad-hoc cell carrying this spec's budget/execution knobs
-        (the compatibility path :class:`repro.core.study
-        .CrossLevelStudy` uses to keep its legacy call shape)."""
-        base = dict(
-            index=-1, level=level, workload=workload,
-            structure=structure, mode=mode,
-            samples=self.resolved_samples(), seed=self.seed,
-            window=self.window, distribution=self.distribution,
-            prune=self.prune, jobs=self.jobs,
-            batch_size=self.batch_size, warm_start=self.warm_start,
-            retries=self.retries, batch_timeout=self.batch_timeout,
-            lanes=self.lanes,
-        )
-        base.update(overrides)
-        return CellSpec(**base)
 
     # ------------------------------------------------------------------
 

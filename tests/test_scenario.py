@@ -197,17 +197,16 @@ def test_set_override_malformed_pair():
 def test_store_paths_are_never_toml_coerced():
     # a directory literally named "2024" (or containing a comma) must
     # survive the CLI flag -> override -> spec round trip verbatim
-    from repro.cli import _legacy_overrides
+    from repro.cli import _run_flag_overrides
 
     class Args:
-        jobs, prune, seed = 2, "dead", 2017
-        workloads, samples, resume = "", None, False
-        lanes = None
+        jobs, prune, retries, resume = 2, "dead", None, False
+        lanes = store_format = None
         store = "2024"
 
     mapping = {"targets": {"levels": ["arch"],
                            "workloads": ["stringsearch"]}}
-    apply_overrides(mapping, _legacy_overrides(Args()))
+    apply_overrides(mapping, _run_flag_overrides(Args()))
     spec = ScenarioSpec.from_mapping(mapping)
     assert spec.store == "2024"
 
@@ -481,20 +480,24 @@ def test_fig1_preset_matches_legacy_grid():
 
 
 def test_fig3_preset_pins_the_paper_workloads():
-    from repro.core.study import FIG3_WORKLOADS
-
     spec = load_preset("fig3", overrides=["targets.workloads=sha"])
-    # the blocks pin their workloads, so the override cannot reach them
-    assert {c.workload for c in spec.cells()} == set(FIG3_WORKLOADS)
+    # the blocks pin the paper's short workloads, so the override
+    # cannot reach them
+    paper = ("caes", "stringsearch", "susan_corners", "susan_edges",
+             "susan_smooth")
+    for level in ("uarch", "rtl"):
+        assert tuple(c.workload for c in spec.cells()
+                     if c.level == level) == paper
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fig1_preset_equivalent_to_legacy_path(jobs, capsys):
     """The acceptance pin: the preset route produces per-fault classes
     and chart text bit-identical to the pre-refactor code path (the
-    direct front-end campaigns the old CrossLevelStudy issued)."""
+    direct front-end campaigns every figure was built from before the
+    scenario layer)."""
     from repro.cli import main
-    from repro.core.figures import figure1_chart
+    from repro.core.figures import render_figure
 
     samples, seed = 5, 2017
     legacy = {"GeFIN": {}, "RTL": {}, "GeFIN-no timer": {}}
@@ -506,10 +509,12 @@ def test_fig1_preset_equivalent_to_legacy_path(jobs, capsys):
     for name, (frontend, mode) in legacy_series.items():
         legacy[name]["stringsearch"] = frontend("stringsearch").campaign(
             "regfile", mode=mode, samples=samples, seed=seed, jobs=jobs)
-    assert main(["fig1", "--workloads", "stringsearch",
-                 "--samples", str(samples), "--jobs", str(jobs)]) == 0
+    assert main(["fig1", "--set", "targets.workloads=stringsearch",
+                 "--set", f"faults.samples={samples}",
+                 "--jobs", str(jobs)]) == 0
     out = capsys.readouterr().out
-    assert out.rstrip("\n") == figure1_chart(legacy).rstrip("\n")
+    title = load_preset("fig1").present["title"]
+    assert out.rstrip("\n") == render_figure(legacy, title).rstrip("\n")
 
     spec = load_preset("fig1", overrides=[
         "targets.workloads=stringsearch", f"faults.samples={samples}",
@@ -530,13 +535,11 @@ def test_fig1_preset_equivalent_to_legacy_path(jobs, capsys):
 # ----------------------------------------------------------------------
 
 def test_every_config_knob_is_in_the_header_table():
-    from repro.core.study import StudyConfig
     from repro.injection.campaign import CampaignConfig
     from repro.scenario.knobs import (
         CAMPAIGN_HEADER_EXCLUDED,
         KNOB_ORDER,
         PARAM_ALIASES,
-        STUDY_HEADER_EXCLUDED,
     )
 
     def check(config_cls, excluded, head_params):
@@ -550,21 +553,28 @@ def test_every_config_knob_is_in_the_header_table():
         )
 
     check(CampaignConfig, CAMPAIGN_HEADER_EXCLUDED, {"samples"})
-    check(StudyConfig, STUDY_HEADER_EXCLUDED, {"samples", "seed"})
+    # A spec's header head counts its cells (from the grid and sweep
+    # shape) and samples; metadata, the presentation block, the
+    # fresh-store format and the same_binaries ablation switch stay out
+    # of the fragments.
+    check(ScenarioSpec,
+          {"name", "title", "blocks", "workloads", "seed_policy",
+           "store_format", "same_binaries", "sweep", "present",
+           "_explicit"},
+          {"samples"})
 
 
 def test_describe_headers_agree_on_shared_knobs():
-    from repro.core.study import StudyConfig
     from repro.injection.campaign import CampaignConfig
 
-    study = StudyConfig(workloads=("sha",), samples=5, jobs=4,
-                        batch_size=2, prune="static",
-                        store="runs/x", resume=True).describe()
+    spec = make_spec(execution={
+        "jobs": 4, "batch_size": 2, "prune": "static",
+        "store": "runs/x", "resume": True}).describe()
     campaign = CampaignConfig(samples=5, jobs=4, batch_size=2,
                               prune_mode="static").describe()
     for fragment in ("jobs=4", "batch=2", "prune=static"):
-        assert fragment in study and fragment in campaign
-    assert "store=runs/x" in study and "resume" in study
+        assert fragment in spec and fragment in campaign
+    assert "store=runs/x" in spec and "resume" in spec
     assert "cold-start" in CampaignConfig(warm_start=False).describe()
 
 
@@ -576,14 +586,11 @@ def test_scenario_describe_uses_the_same_table():
 
 
 def test_lanes_knob_in_every_describe_header():
-    """``lanes`` renders through the one shared table in all three
-    config surfaces (and elides at its default of 1)."""
-    from repro.core.study import StudyConfig
+    """``lanes`` renders through the one shared table in both config
+    surfaces (and elides at its default of 1)."""
     from repro.injection.campaign import CampaignConfig
 
     assert "lanes=8" in CampaignConfig(batch_lanes=8).describe()
-    assert "lanes=8" in StudyConfig(workloads=("sha",), samples=5,
-                                    lanes=8).describe()
     assert "lanes=8" in make_spec(execution={"lanes": 8}).describe()
     assert "lanes" not in CampaignConfig().describe()
     assert "lanes" not in make_spec().describe()
@@ -688,6 +695,39 @@ def test_cli_run_reports_bad_set_field():
     with pytest.raises(SystemExit) as err:
         main(["run", "fig1", "--set", "faults.smaples=4"])
     assert "faults.smaples" in str(err.value)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("fig1", ["--set", "targets.workloads=stringsearch",
+              "--set", "faults.samples=2"]),
+    ("table2", ["--set", "targets.workloads=sha",
+                "--set", "present.rtl_traced=false"]),
+])
+def test_preset_subcommands_are_run_aliases(name, args, monkeypatch,
+                                            capsys):
+    """``repro-study NAME ARGS`` is ``repro-study run NAME ARGS``:
+    byte-identical stdout for a figure and for the throughput table."""
+    from repro.cli import main
+    from repro.core import tables
+
+    # Table II prints measured seconds; pin them so the two runs can
+    # be compared byte for byte (the cycle columns stay measured).
+    traced = []
+
+    def fixed_seconds(front):
+        traced.append(getattr(front, "rtl_config", None))
+        return 1.0, front.golden_run()
+
+    monkeypatch.setattr(tables, "_timed_golden", fixed_seconds)
+    outputs = []
+    for argv in ([name, *args], ["run", name, *args]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+    if name == "table2":
+        assert "sha" in outputs[0]
+        assert [c.trace_signals for c in traced if c is not None] == \
+            [False, False]
 
 
 def test_cli_run_scenario_file_with_csv(tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""Cross-level study orchestration, front-ends, tables and CLI."""
+"""The cross-level study through the scenario API: runner caching and
+front-end dispatch, front-ends, tables, figures and the CLI."""
 
 import pytest
 
 from repro.core.figures import figure_series, render_figure
-from repro.core.study import CrossLevelStudy, FIG3_WORKLOADS, StudyConfig
 from repro.core.tables import (
     render_table1,
     render_table2,
@@ -11,6 +11,8 @@ from repro.core.tables import (
     table2_rows,
 )
 from repro.injection import GeFIN, SafetyVerifier
+from repro.scenario import ScenarioRunner, ScenarioSpec, load_preset
+from repro.sim.frontend import Frontend
 
 
 def test_table1_matches_paper_exactly():
@@ -75,19 +77,52 @@ def test_gefin_golden_run():
     assert sim.exited and sim.exit_code == 0
 
 
-def test_small_cross_level_study_fig1_subset():
-    config = StudyConfig(workloads=("stringsearch",), samples=6, seed=9)
-    study = CrossLevelStudy(config)
-    fig1 = study.figure1()
+def _count_campaigns(monkeypatch):
+    """Count every campaign a front-end starts from here on."""
+    started = []
+    campaign = Frontend.campaign
+
+    def counting(self, *args, **kwargs):
+        started.append((self.LEVEL, self.workload))
+        return campaign(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frontend, "campaign", counting)
+    return started
+
+
+def test_runner_caches_cell_results(monkeypatch):
+    spec = load_preset("fig1", overrides=[
+        "targets.workloads=stringsearch", "faults.samples=6",
+        "faults.seed=9"])
+    runner = ScenarioRunner(spec)
+    first = runner.run()
+    fig1 = first.series(spec.present["series"])
     assert set(fig1) == {"GeFIN", "RTL", "GeFIN-no timer"}
     for series in fig1.values():
         assert set(series) == {"stringsearch"}
-        result = series["stringsearch"]
-        assert result.n == 6
-    # results are cached: second call does not recompute
-    assert study.figure1() is not fig1  # new dict...
-    assert study.figure1()["GeFIN"]["stringsearch"] is \
-        fig1["GeFIN"]["stringsearch"]  # ...same cached results
+        assert series["stringsearch"].n == 6
+    # re-running the same cells recalls the same result objects
+    started = _count_campaigns(monkeypatch)
+    second = runner.run()
+    assert not started
+    assert second is not first
+    assert all(a is b for a, b in zip(first.results, second.results))
+
+
+def test_headline_after_fig1_and_fig3_starts_no_campaign(monkeypatch):
+    overrides = ["targets.workloads=stringsearch", "faults.samples=2"]
+    runner = ScenarioRunner(load_preset("fig1", overrides=overrides))
+
+    def cells(name):
+        spec = load_preset(name, overrides=overrides)
+        return [c for c in spec.cells() if c.workload == "stringsearch"]
+
+    runner.run(cells("fig1"))
+    runner.run(cells("fig3"))
+    started = _count_campaigns(monkeypatch)
+    headline = runner.run(cells("headline"))
+    assert len(headline) == 5
+    assert not started
 
 
 def test_figure_series_conversion():
@@ -104,31 +139,31 @@ def test_figure_series_conversion():
     assert "Fig. X" in chart
 
 
-def test_fig3_workloads_match_paper():
-    assert FIG3_WORKLOADS == ("caes", "stringsearch", "susan_corners",
-                              "susan_edges", "susan_smooth")
+def _sha_spec(**execution):
+    return ScenarioSpec.from_mapping({
+        "targets": {"workloads": ["sha"]},
+        "faults": {"samples": 5},
+        "execution": execution,
+    })
 
 
-def test_study_same_binaries_option():
-    config = StudyConfig(workloads=("sha",), samples=1,
-                         same_binaries=True)
-    verifier = config.safety_verifier("sha")
-    assert verifier.toolchain.name == "gnu"
+def test_same_binaries_puts_rtl_on_the_uarch_toolchain():
+    runner = ScenarioRunner(_sha_spec(same_binaries=True))
+    assert runner._frontend("rtl", "sha").toolchain.name == "gnu"
+    default = ScenarioRunner(_sha_spec())
+    assert default._frontend("rtl", "sha").toolchain.name == "armcc"
 
 
-def test_study_frontend_dispatches_via_registry():
-    config = StudyConfig(workloads=("sha",), samples=1)
+def test_runner_frontend_dispatches_via_registry():
+    runner = ScenarioRunner(_sha_spec())
     for level in ("arch", "uarch", "rtl"):
-        front = config.frontend(level, "sha")
-        assert front.LEVEL == level
+        assert runner._frontend(level, "sha").LEVEL == level
 
 
-def test_study_describe_identifies_parallel_run():
-    config = StudyConfig(workloads=("sha",), samples=5, jobs=4,
-                         batch_size=2)
-    text = config.describe()
+def test_describe_identifies_parallel_run():
+    text = _sha_spec(jobs=4, batch_size=2).describe()
     assert "jobs=4" in text and "batch=2" in text and "seed=2017" in text
-    assert "jobs" not in StudyConfig(workloads=("sha",)).describe()
+    assert "jobs" not in _sha_spec().describe()
 
 
 # ----------------------------------------------------------------------
@@ -155,4 +190,4 @@ def test_cli_rejects_unknown_workload():
     from repro.cli import main
 
     with pytest.raises(SystemExit):
-        main(["fig1", "--workloads", "bogus"])
+        main(["fig1", "--set", "targets.workloads=bogus"])
