@@ -26,6 +26,10 @@ def s32(value):
     return value - 0x100000000 if value & 0x80000000 else value
 
 
+_LSL, _LSR, _ASR, _ROR = (ShiftKind.LSL, ShiftKind.LSR, ShiftKind.ASR,
+                          ShiftKind.ROR)
+
+
 def barrel_shift(value, kind, amount, carry_in):
     """Apply the barrel shifter.  Returns ``(result, carry_out)``.
 
@@ -36,27 +40,27 @@ def barrel_shift(value, kind, amount, carry_in):
     amount &= 0xFF
     if amount == 0:
         return value, carry_in
-    if kind == ShiftKind.LSL:
+    if kind == _LSL:
         if amount > 32:
             return 0, False
         if amount == 32:
             return 0, bool(value & 1)
         carry = bool((value >> (32 - amount)) & 1)
         return u32(value << amount), carry
-    if kind == ShiftKind.LSR:
+    if kind == _LSR:
         if amount > 32:
             return 0, False
         if amount == 32:
             return 0, bool(value >> 31)
         carry = bool((value >> (amount - 1)) & 1)
         return value >> amount, carry
-    if kind == ShiftKind.ASR:
+    if kind == _ASR:
         if amount >= 32:
             filled = MASK32 if value & 0x80000000 else 0
             return filled, bool(value >> 31)
         carry = bool((value >> (amount - 1)) & 1)
         return u32(s32(value) >> amount), carry
-    if kind == ShiftKind.ROR:
+    if kind == _ROR:
         amount %= 32
         if amount == 0:
             return value, bool(value >> 31)
@@ -66,20 +70,35 @@ def barrel_shift(value, kind, amount, carry_in):
 
 
 def add_with_carry(a, b, carry_in):
-    """ARM AddWithCarry: returns ``(result, carry_out, overflow)``."""
-    a = u32(a)
-    b = u32(b)
-    unsigned = a + b + int(carry_in)
-    result = unsigned & MASK32
-    carry = unsigned > MASK32
-    signed = s32(a) + s32(b) + int(carry_in)
-    overflow = signed != s32(result)
-    return result, carry, overflow
+    """ARM AddWithCarry: returns ``(result, carry_out, overflow)``.
+
+    Signed overflow is the sign rule: both addends share a sign the
+    result does not.
+    """
+    a &= MASK32
+    b &= MASK32
+    total = a + b + carry_in
+    result = total & MASK32
+    return (result, total > MASK32,
+            bool((a ^ result) & (b ^ result) & 0x80000000))
 
 
-#: Maps every data-processing op (immediate forms normalised to register
-#: forms by the caller) to its arithmetic class.
-_LOGICAL = {Op.AND, Op.EOR, Op.ORR, Op.BIC, Op.MOV, Op.MVN, Op.TST, Op.TEQ}
+#: Arithmetic data-processing ops (immediate forms normalised to
+#: register forms by the caller) -> ``(swap operands, invert the second,
+#: carry in)``; a ``None`` carry in is the C flag.
+_ARITH = {
+    Op.SUB: (False, True, True), Op.CMP: (False, True, True),
+    Op.RSB: (True, True, True), Op.ADD: (False, False, False),
+    Op.CMN: (False, False, False), Op.ADC: (False, False, None),
+    Op.SBC: (False, True, None),
+}
+#: Logical data-processing ops -> result function (C from the shifter).
+_LOGICAL = {
+    Op.AND: int.__and__, Op.TST: int.__and__, Op.EOR: int.__xor__,
+    Op.TEQ: int.__xor__, Op.ORR: int.__or__,
+    Op.BIC: lambda a, b: a & (b ^ MASK32), Op.MOV: lambda a, b: b,
+    Op.MVN: lambda a, b: b ^ MASK32,
+}
 
 
 def dp_compute(op, rn_value, op2_value, flags, shifter_carry):
@@ -90,52 +109,31 @@ def dp_compute(op, rn_value, op2_value, flags, shifter_carry):
     the values the operation *would* set (the caller applies them only when
     the instruction has the S bit or is a compare).
     """
-    rn_value = u32(rn_value)
-    op2_value = u32(op2_value)
-    carry = flags.c
-    overflow = flags.v
-    if op == Op.AND or op == Op.TST:
-        result = rn_value & op2_value
-        carry = shifter_carry
-    elif op == Op.EOR or op == Op.TEQ:
-        result = rn_value ^ op2_value
-        carry = shifter_carry
-    elif op == Op.ORR:
-        result = rn_value | op2_value
-        carry = shifter_carry
-    elif op == Op.BIC:
-        result = rn_value & u32(~op2_value)
-        carry = shifter_carry
-    elif op == Op.MOV:
-        result = op2_value
-        carry = shifter_carry
-    elif op == Op.MVN:
-        result = u32(~op2_value)
-        carry = shifter_carry
-    elif op == Op.SUB or op == Op.CMP:
-        result, carry, overflow = add_with_carry(rn_value, ~op2_value, True)
-    elif op == Op.RSB:
-        result, carry, overflow = add_with_carry(op2_value, ~rn_value, True)
-    elif op == Op.ADD or op == Op.CMN:
-        result, carry, overflow = add_with_carry(rn_value, op2_value, False)
-    elif op == Op.ADC:
-        result, carry, overflow = add_with_carry(rn_value, op2_value, flags.c)
-    elif op == Op.SBC:
-        result, carry, overflow = add_with_carry(rn_value, ~op2_value, flags.c)
+    rn_value &= MASK32
+    op2_value &= MASK32
+    arith = _ARITH.get(op)
+    if arith is not None:
+        swap, invert, carry_in = arith
+        a, b = (op2_value, rn_value) if swap else (rn_value, op2_value)
+        result, carry, overflow = add_with_carry(
+            a, b ^ MASK32 if invert else b,
+            flags.c if carry_in is None else carry_in)
     else:
-        raise ValueError(f"not a data-processing op: {op!r}")
-    new_flags = Flags(
-        n=bool(result & 0x80000000),
-        z=result == 0,
-        c=carry,
-        v=overflow,
-    )
-    return result, new_flags
+        logical = _LOGICAL.get(op)
+        if logical is None:
+            raise ValueError(f"not a data-processing op: {op!r}")
+        result = logical(rn_value, op2_value)
+        carry = shifter_carry
+        overflow = flags.v
+    return result, Flags(result >= 0x80000000, result == 0, carry, overflow)
+
+
+_MLA = Op.MLA
 
 
 def multiply(op, rn_value, rm_value, ra_value):
     """MUL / MLA (low 32 bits, ARM semantics)."""
     product = u32(rn_value) * u32(rm_value)
-    if op == Op.MLA:
+    if op == _MLA:
         product += u32(ra_value)
     return u32(product)

@@ -10,6 +10,7 @@ and the L1 data cache only).
 from __future__ import annotations
 
 import enum
+from typing import Any
 
 from repro.isa.flags import COND_CODES
 
@@ -179,12 +180,15 @@ class Inst:
     * branches: ``imm`` holds the *byte* offset relative to the branch's
       own address (resolved by the assembler), ``rm`` for BX;
     * SVC: ``imm`` is the syscall number.
+
+    An instruction is immutable once decoded: :attr:`flow` memoizes its
+    dataflow on first use.
     """
 
     __slots__ = (
         "op", "cond", "s", "rd", "rn", "rm", "ra", "imm",
         "shift_kind", "shift_amount", "shift_reg",
-        "pre", "writeback", "reglist", "addr", "text",
+        "pre", "writeback", "reglist", "addr", "text", "_flow",
     )
 
     def __init__(self, op: Op, cond: Cond = Cond.AL, s: bool = False,
@@ -287,10 +291,57 @@ class Inst:
     def writes_flags(self) -> bool:
         return self.s or self.op in COMPARE_OPS
 
-    def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS or 15 in self.dst_regs()
+    @property
+    def flow(self) -> Dataflow:
+        """The memoized :class:`Dataflow` record (built on first use,
+        never in ``__init__``: :func:`repro.isa.encoding.decode` fills
+        fields in after construction)."""
+        try:
+            return self._flow
+        except AttributeError:
+            self._flow: Dataflow = Dataflow(self)
+            return self._flow
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        # The memo is derived: keep it out of pickles (worker payloads).
+        return None, {name: getattr(self, name) for name in self.__slots__
+                      if name != "_flow"}
 
     def __repr__(self) -> str:
         cond = "" if self.cond == Cond.AL else COND_CODES[self.cond]
         label = self.text or self.op.name.lower() + cond
         return f"<Inst {self.addr:#06x} {label}>"
+
+
+class Dataflow:
+    """What both pipelines ask of an :class:`Inst` on every dispatch,
+    computed once per instruction (see :attr:`Inst.flow`)."""
+
+    __slots__ = (
+        "src_set", "renamed_srcs", "reg_dsts", "writes_flags",
+        "conditional", "reads_cpsr", "flag_src", "is_load", "is_store",
+        "is_mem", "is_branch", "is_mul",
+    )
+
+    def __init__(self, inst: Inst) -> None:
+        op = inst.op
+        srcs = inst.src_regs()
+        dsts = inst.dst_regs()
+        #: Distinct sources in ``set`` iteration order (the RT level's
+        #: operand-read order).
+        self.src_set = tuple(set(srcs))
+        #: Distinct sources bar the PC (r15 lives in fetch, unrenamed).
+        self.renamed_srcs = tuple(set(a for a in srcs if a != 15))
+        #: Register-file destinations (the PC excluded).
+        self.reg_dsts = tuple(a for a in dsts if a != 15)
+        self.writes_flags = inst.writes_flags()
+        self.conditional = inst.cond != Cond.AL
+        self.reads_cpsr = self.conditional or inst.reads_flags()
+        #: Needs the current flags (reads them, or preserves them
+        #: through a failed condition).
+        self.flag_src = self.reads_cpsr or self.writes_flags
+        self.is_load = op in LOAD_OPS or op == Op.LDM
+        self.is_store = op in STORE_OPS or op == Op.STM
+        self.is_mem = op in MEM_OPS
+        self.is_branch = op in BRANCH_OPS or 15 in dsts
+        self.is_mul = op == Op.MUL or op == Op.MLA

@@ -86,16 +86,28 @@ class Cache:
         Does not touch replacement state.
         """
         tag, index, _ = self.config.split(addr)
-        for way in range(self.config.ways):
-            if self.valid[index, way] and self.tags[index, way] == tag:
-                return index, way
-        return index, None
+        return index, self._find(index, tag, self.valid[index].tolist())
 
-    def _touch(self, index, way):
+    def _find(self, index, tag, valid):
+        """The way of set ``index`` holding ``tag`` (None on a miss);
+        ``valid`` is the set's valid row as a list."""
+        tags = self.tags[index].tolist()
+        for way, bit in enumerate(valid):
+            if bit and tags[way] == tag:
+                return way
+        return None
+
+    def _touch(self, index, way, valid):
+        """Age every valid way of the set (saturating) and make ``way``
+        the youngest; writes only the elements that change."""
         ages = self.age[index]
-        bump = self.valid[index] & (ages < 255)
-        ages[bump] += 1
-        ages[way] = 0
+        row = ages.tolist()
+        for other, bit in enumerate(valid):
+            if other == way:
+                if row[other]:
+                    ages[other] = 0
+            elif bit and row[other] < 255:
+                ages[other] = row[other] + 1
 
     def _victim(self, index):
         for way in range(self.config.ways):
@@ -147,31 +159,31 @@ class Cache:
         """
         if addr % size:
             raise SimFault("align-fault", f"{size}-byte access", addr=addr)
-        _, index, offset = self.config.split(addr)
+        tag, index, offset = self.config.split(addr)
         if offset + size > self.config.line_size:  # pragma: no cover
             raise SimFault("mem-fault", "access crosses a line", addr=addr)
         if addr + size > self.ram.size or addr < 0:
             raise SimFault("mem-fault", "beyond RAM", addr=addr)
-        index, way = self.probe(addr)
+        valid = self.valid[index].tolist()
+        way = self._find(index, tag, valid)
         hit = way is not None
         if hit:
             self.hits += 1
         else:
             self.misses += 1
             way = self._refill(addr, index, cycle)
-        self._touch(index, way)
+            valid = self.valid[index].tolist()
+        self._touch(index, way, valid)
         if self.access_listener is not None:
             self.access_listener(cycle, index, way, write, addr)
-        line = self.data[index, way]
         if write:
             encoded = (value & ((1 << (8 * size)) - 1)).to_bytes(
                 size, "little"
             )
-            line[offset:offset + size] = np.frombuffer(encoded,
-                                                       dtype=np.uint8)
+            self.data[index, way, offset:offset + size] = list(encoded)
             self.dirty[index, way] = True
             return value, hit
-        raw = line[offset:offset + size].tobytes()
+        raw = self.data[index, way, offset:offset + size].tobytes()
         return int.from_bytes(raw, "little"), hit
 
     def read(self, addr, size, cycle=0):

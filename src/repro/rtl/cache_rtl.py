@@ -42,15 +42,15 @@ class RTLCache(Cache):
     def access(self, addr, size, write, value=0, cycle=0):
         """One access; sets :attr:`stall_cycles` to the freeze penalty."""
         self.stall_cycles = 0
-        _, way = self.probe(addr)
-        if way is None:
-            tag, index, _ = self.config.split(addr)
-            victim = self._victim(index)
-            penalty = self._rtl_cfg.refill_cycles()
-            if self.valid[index, victim] and self.dirty[index, victim]:
-                penalty += self._rtl_cfg.writeback_cycles()
-            self.stall_cycles = penalty
         return super().access(addr, size, write, value=value, cycle=cycle)
+
+    def _refill(self, addr, index, cycle):
+        victim = self._victim(index)
+        penalty = self._rtl_cfg.refill_cycles()
+        if self.valid[index, victim] and self.dirty[index, victim]:
+            penalty += self._rtl_cfg.writeback_cycles()
+        self.stall_cycles = penalty
+        return super()._refill(addr, index, cycle)
 
 
 def make_rtl_cache(name, size, ways, line_size, ram, rtl_config,

@@ -29,6 +29,7 @@ from repro.isa.instructions import (
     DP_REG_OPS,
     Inst,
     LOAD_OPS,
+    MEM_REG_FORM,
     MEM_SIZE,
     Op,
     STORE_OPS,
@@ -40,21 +41,36 @@ _PC = 15
 _STALL = object()  # sentinel: operand not yet available
 _BAD_FETCH = Inst(Op.HLT, text="<bad-fetch>")
 
+# Enum members hoisted to module globals: a class-attribute lookup on
+# an enum costs an order of magnitude more, every cycle.
+_AL = Cond.AL
+_B, _BL, _BX, _SVC, _HLT = Op.B, Op.BL, Op.BX, Op.SVC, Op.HLT
+_MOVW, _MOVT, _LDM, _STM = Op.MOVW, Op.MOVT, Op.LDM, Op.STM
+_DP_OPS = DP_REG_OPS | DP_IMM_OPS
+#: Ops that issue without a younger partner (besides branches and
+#: memory ops).
+_SOLO_OPS = frozenset({Op.SVC, Op.HLT})
+#: Ops the younger dual-issue slot accepts.
+_PAIRABLE_OPS = _DP_OPS | {Op.MOVW, Op.MOVT, Op.NOP}
+_NOP_OPS = frozenset({Op.SVC, Op.NOP, Op.HLT})
+
 
 class Uop:
     """One in-flight instruction in the RT-level pipeline."""
 
     __slots__ = (
-        "inst", "pc", "predicted_next", "dests", "operands", "old_values",
-        "results", "cond_pass", "store_pending", "is_mem", "is_branch",
-        "actual_next", "bad_fetch",
+        "inst", "flow", "pc", "predicted_next", "dests", "operands",
+        "old_values", "results", "cond_pass", "store_pending", "is_mem",
+        "is_branch", "actual_next", "bad_fetch",
     )
 
     def __init__(self, inst, pc, predicted_next):
+        flow = inst.flow
         self.inst = inst
+        self.flow = flow
         self.pc = pc
         self.predicted_next = predicted_next
-        self.dests = tuple(a for a in inst.dst_regs() if a != _PC)
+        self.dests = flow.reg_dsts
         self.operands = {}
         self.old_values = {}
         self.results = {}
@@ -62,11 +78,8 @@ class Uop:
         self.store_pending = []
         self.actual_next = None
         self.bad_fetch = False
-        op = inst.op
-        self.is_mem = op in MEM_SIZE or op in (Op.LDM, Op.STM)
-        self.is_branch = (
-            op in (Op.B, Op.BL, Op.BX) or _PC in inst.dst_regs()
-        )
+        self.is_mem = flow.is_mem
+        self.is_branch = flow.is_branch
 
     def next_pc(self):
         return self.actual_next if self.actual_next is not None \
@@ -198,12 +211,12 @@ class RTLCore:
         if not uop.cond_pass:
             self.wb.append(uop)
             return
-        if op == Op.HLT:
+        if op == _HLT:
             detail = "fetch outside text" if uop.bad_fetch \
                 else "executed HLT/pool word"
             kind = "mem-fault" if uop.bad_fetch else "halt-trap"
             raise SimFault(kind, detail, addr=uop.pc)
-        if op == Op.SVC:
+        if op == _SVC:
             self._exec_svc(uop)
             self.wb.append(uop)
             return
@@ -238,7 +251,7 @@ class RTLCore:
     def _exec_mem_ex2(self, uop):
         inst = uop.inst
         op = inst.op
-        if op == Op.LDM:
+        if op == _LDM:
             base = uop.operands[inst.rn]
             addr = base
             for i in range(16):
@@ -252,7 +265,7 @@ class RTLCore:
                         uop.results[i] = value
                     addr += 4
             return
-        if op == Op.STM:
+        if op == _STM:
             for addr, size, value in uop.store_pending:
                 self.dcache.access(addr, size, write=True, value=value,
                                    cycle=self.cycle)
@@ -298,7 +311,7 @@ class RTLCore:
                 self.fault = exc
                 self.ex1 = []
                 return
-            if uop.inst.op in (Op.MUL, Op.MLA) and uop.cond_pass:
+            if uop.flow.is_mul and uop.cond_pass:
                 self.mul_uop = uop
                 self.mul_remaining = self.cfg.mul_latency - 1
                 self.mul_sets_flags = uop.inst.s
@@ -324,27 +337,27 @@ class RTLCore:
         if not uop.cond_pass:
             for arch in uop.dests:
                 uop.results[arch] = uop.old_values[arch]
-            if op == Op.B and inst.cond != Cond.AL:
+            if op == _B and inst.cond != _AL:
                 self.predictor.update(uop.pc, taken=False)
             return
 
-        if op in DP_REG_OPS or op in DP_IMM_OPS:
+        if op in _DP_OPS:
             self._exec_dp(uop, flags)
-        elif op == Op.MOVW:
+        elif op == _MOVW:
             uop.results[inst.rd] = inst.imm & 0xFFFF
-        elif op == Op.MOVT:
+        elif op == _MOVT:
             old = uop.operands[inst.rd]
             uop.results[inst.rd] = (
                 (old & 0xFFFF) | ((inst.imm & 0xFFFF) << 16)
             )
-        elif op in (Op.MUL, Op.MLA):
+        elif uop.flow.is_mul:
             uop.results[inst.rd] = alu.multiply(
                 op, uop.operands[inst.rn], uop.operands[inst.rm],
                 uop.operands.get(inst.ra, 0),
             )
         elif op in MEM_SIZE:
             self._agen(uop, flags)
-        elif op == Op.LDM:
+        elif op == _LDM:
             base = uop.operands[inst.rn]
             if base % 4:
                 raise SimFault("align-fault", "ldm", addr=base)
@@ -353,7 +366,7 @@ class RTLCore:
                 raise SimFault("mem-fault", "ldm beyond RAM", addr=base)
             if inst.writeback and not (inst.reglist & (1 << inst.rn)):
                 uop.results[inst.rn] = (base + 4 * count) & 0xFFFFFFFF
-        elif op == Op.STM:
+        elif op == _STM:
             base = uop.operands[inst.rn]
             count = bin(inst.reglist).count("1")
             addr = (base - 4 * count) & 0xFFFFFFFF
@@ -369,16 +382,16 @@ class RTLCore:
             uop.store_pending = ops
             if inst.writeback:
                 uop.results[inst.rn] = (base - 4 * count) & 0xFFFFFFFF
-        elif op == Op.B:
+        elif op == _B:
             uop.actual_next = (uop.pc + inst.imm) & 0xFFFFFFFC
-            if inst.cond != Cond.AL:
+            if inst.cond != _AL:
                 self.predictor.update(uop.pc, taken=True)
-        elif op == Op.BL:
+        elif op == _BL:
             uop.results[14] = (uop.pc + 4) & 0xFFFFFFFF
             uop.actual_next = (uop.pc + inst.imm) & 0xFFFFFFFC
-        elif op == Op.BX:
+        elif op == _BX:
             uop.actual_next = uop.operands[inst.rm] & 0xFFFFFFFC
-        elif op in (Op.SVC, Op.NOP, Op.HLT):
+        elif op in _NOP_OPS:
             pass
         else:  # pragma: no cover - decode is exhaustive
             raise SimFault("undefined-inst", repr(op), addr=uop.pc)
@@ -400,7 +413,7 @@ class RTLCore:
         rn_value = 0 if op in UNARY_OPS else uop.operands[inst.rn]
         result, new_flags = alu.dp_compute(op, rn_value, op2, flags,
                                            shifter_carry)
-        if inst.s or op in COMPARE_OPS:
+        if uop.flow.writes_flags:
             self.rf.set_flags(new_flags)
         if op not in COMPARE_OPS:
             if inst.rd == _PC:
@@ -412,7 +425,7 @@ class RTLCore:
         inst = uop.inst
         size = MEM_SIZE[inst.op]
         base = uop.operands[inst.rn]
-        if inst.op in (Op.LDR, Op.STR, Op.LDRB, Op.STRB, Op.LDRH, Op.STRH):
+        if inst.op in MEM_REG_FORM:  # immediate offset
             offset = inst.imm
         else:
             offset, _ = alu.barrel_shift(
@@ -457,15 +470,14 @@ class RTLCore:
     def _try_read_operands(self, uop):
         """Collect source operands (and old dest values for conditional
         instructions).  Returns False when the uop must stall."""
-        inst = uop.inst
         operands = {}
-        for arch in set(inst.src_regs()):
+        for arch in uop.flow.src_set:
             value = self._bypass_read(arch, uop.pc)
             if value is _STALL:
                 return False
             operands[arch] = value
         old_values = {}
-        if inst.cond != Cond.AL:
+        if uop.flow.conditional:
             for arch in uop.dests:
                 value = self._bypass_read(arch, uop.pc)
                 if value is _STALL:
@@ -479,26 +491,20 @@ class RTLCore:
         """Dual-issue pairing rules: the younger slot takes only a simple
         data-processing op with no dependency on (or conflict with) the
         older slot."""
-        inst = second.inst
-        op = inst.op
-        if first.is_branch or first.inst.op in (Op.SVC, Op.HLT) \
-                or first.is_mem:
+        flow = second.flow
+        if first.is_branch or first.inst.op in _SOLO_OPS or first.is_mem:
             return False
-        if op not in DP_REG_OPS and op not in DP_IMM_OPS and \
-                op not in (Op.MOVW, Op.MOVT, Op.NOP):
+        if second.inst.op not in _PAIRABLE_OPS:
             return False
         if second.is_branch or second.bad_fetch:
             return False
+        # No read of (and, conditional or not, no write to) an older
+        # slot's destination.
         first_dests = set(first.dests)
-        reads = set(a for a in inst.src_regs() if a != _PC)
-        if inst.cond != Cond.AL:
-            reads |= set(second.dests)
-        if reads & first_dests:
+        if not first_dests.isdisjoint(flow.renamed_srcs) \
+                or not first_dests.isdisjoint(second.dests):
             return False
-        if set(second.dests) & first_dests:
-            return False
-        if (inst.cond != Cond.AL or inst.reads_flags()) \
-                and first.inst.writes_flags():
+        if flow.reads_cpsr and first.flow.writes_flags:
             # Same-cycle flag forwarding exists (EX1 is processed in slot
             # order) but the RT design does not pair flag-setter with
             # flag-reader.
@@ -511,24 +517,23 @@ class RTLCore:
         issued = []
         while self.decode_q and len(issued) < self.cfg.issue_width:
             uop = self.decode_q[0]
-            inst = uop.inst
             if issued and not self._can_issue_second(issued[0], uop):
                 break
-            if inst.op in (Op.MUL, Op.MLA) and self.mul_uop is not None:
-                break
-            if self.mul_uop is not None and self.mul_sets_flags and (
-                    inst.cond != Cond.AL or inst.reads_flags()
-                    or inst.writes_flags()):
-                break
-            if self.mul_uop is not None and \
-                    set(uop.dests) & set(self.mul_uop.dests):
-                break  # WAW with the in-flight multiply
+            mul_uop = self.mul_uop
+            if mul_uop is not None:
+                flow = uop.flow
+                if flow.is_mul:
+                    break
+                if self.mul_sets_flags and flow.flag_src:
+                    break
+                if not set(uop.dests).isdisjoint(mul_uop.dests):
+                    break  # WAW with the in-flight multiply
             if not self._try_read_operands(uop):
                 break
             self.decode_q.pop(0)
             issued.append(uop)
             self.ex1.append(uop)
-            if uop.is_branch or inst.op in (Op.SVC, Op.HLT) or uop.is_mem:
+            if uop.is_branch or uop.inst.op in _SOLO_OPS or uop.is_mem:
                 break  # these issue without a younger partner
 
     # ------------------------------------------------------------------
@@ -568,9 +573,9 @@ class RTLCore:
             line = self.pc & ~(self.cfg.line_size - 1)
             if line != self.current_line:
                 self.current_line = line
-                _, way = self.icache.probe(line)
-                self.icache.access(line, 4, write=False, cycle=self.cycle)
-                if way is None:
+                _, hit = self.icache.access(line, 4, write=False,
+                                            cycle=self.cycle)
+                if not hit:
                     self.fetch_stall_until = (
                         self.cycle + self.icache.stall_cycles
                     )
@@ -583,14 +588,14 @@ class RTLCore:
 
     def _predict_next(self, inst, pc):
         op = inst.op
-        if op == Op.B:
-            if inst.cond == Cond.AL or self.predictor.predict_taken(pc):
+        if op == _B:
+            if inst.cond == _AL or self.predictor.predict_taken(pc):
                 return (pc + inst.imm) & 0xFFFFFFFC
             return pc + 4
-        if op == Op.BL:
+        if op == _BL:
             self.predictor.push_return(pc + 4)
             return (pc + inst.imm) & 0xFFFFFFFC
-        if op == Op.BX:
+        if op == _BX:
             target = self.predictor.pop_return()
             return target & 0xFFFFFFFC if target is not None else pc + 4
         return pc + 4

@@ -17,22 +17,32 @@ from repro.isa.instructions import (
     DP_IMM_OPS,
     DP_REG_FORM,
     DP_REG_OPS,
-    LOAD_OPS,
+    MEM_REG_FORM,
     MEM_SIZE,
     Op,
-    STORE_OPS,
     UNARY_OPS,
 )
 from repro.isa.syscalls import SyscallEmulator, SyscallError
 
 _PC = 15
 
+# Enum members hoisted to module globals: a class-attribute lookup on
+# an enum costs an order of magnitude more, every cycle.
+_AL = Cond.AL
+_B, _BL, _BX, _SVC, _HLT = Op.B, Op.BL, Op.BX, Op.SVC, Op.HLT
+_MOVW, _MOVT, _MLA, _LDM, _STM = Op.MOVW, Op.MOVT, Op.MLA, Op.LDM, Op.STM
+_DP_OPS = DP_REG_OPS | DP_IMM_OPS
+_NOP_OPS = frozenset({Op.SVC, Op.NOP})
+#: Flag-file value -> the :class:`Flags` it holds (read-only sharing:
+#: the core never mutates a read flag set).
+_FLAGS = tuple(Flags.unpack(bits) for bits in range(16))
+
 
 class InFlight:
     """One in-flight instruction (IQ + ROB record)."""
 
     __slots__ = (
-        "seq", "inst", "pc", "predicted_next", "phys_of", "srcs",
+        "seq", "inst", "flow", "pc", "predicted_next", "phys_of", "srcs",
         "src_flag", "dests", "flag_dest", "is_load", "is_store",
         "is_syscall", "store_ops", "load_ready_cycle", "result_next_pc",
         "completed", "issued", "complete_at", "fault", "addr_resolved",
@@ -40,8 +50,10 @@ class InFlight:
     )
 
     def __init__(self, seq, inst, pc, predicted_next, decode_ready):
+        flow = inst.flow
         self.seq = seq
         self.inst = inst
+        self.flow = flow
         self.pc = pc
         self.predicted_next = predicted_next
         self.decode_ready = decode_ready
@@ -50,9 +62,9 @@ class InFlight:
         self.src_flag = None
         self.dests = []
         self.flag_dest = None
-        self.is_load = inst.op in LOAD_OPS or inst.op == Op.LDM
-        self.is_store = inst.op in STORE_OPS or inst.op == Op.STM
-        self.is_syscall = inst.op == Op.SVC
+        self.is_load = flow.is_load
+        self.is_store = flow.is_store
+        self.is_syscall = inst.op == _SVC
         self.store_ops = []
         self.load_ready_cycle = 0
         self.result_next_pc = None
@@ -203,37 +215,30 @@ class OoOCore:
     # ------------------------------------------------------------------
 
     def _writeback(self):
+        """Complete the oldest-finishing ready records, in
+        ``(complete_at, seq)`` order, up to the writeback width."""
         if not self.wb_queue:
             return
-        self.wb_queue.sort(key=lambda r: (r.complete_at, r.seq))
+        cycle = self.cycle
+        ready = [r for r in self.wb_queue if r.complete_at <= cycle]
+        if not ready:
+            return
         budget = self.cfg.writeback_width
-        remaining = []
-        for rec in self.wb_queue:
-            if rec.complete_at > self.cycle or budget == 0:
-                remaining.append(rec)
-                continue
-            budget -= 1
+        if len(ready) > budget:
+            ready.sort(key=lambda r: (r.complete_at, r.seq))
+            del ready[budget:]
+        for rec in ready:
             if not rec.is_syscall:
                 for _, new, _ in rec.dests:
                     self.prf.ready[new] = True
                 if rec.flag_dest is not None:
                     self.flag_file.ready[rec.flag_dest[0]] = True
             rec.completed = True
-        self.wb_queue = remaining
+        self.wb_queue = [r for r in self.wb_queue if not r.completed]
 
     # ------------------------------------------------------------------
     # issue + execute
     # ------------------------------------------------------------------
-
-    def _operands_ready(self, rec):
-        prf_ready = self.prf.ready
-        for phys in rec.srcs:
-            if not prf_ready[phys]:
-                return False
-        if rec.src_flag is not None and not self.flag_file.ready[
-                rec.src_flag]:
-            return False
-        return True
 
     def _older_stores_resolved(self, rec):
         for other in self.rob:
@@ -247,14 +252,23 @@ class OoOCore:
         alu_free = self.cfg.alu_units
         mul_free = self.cfg.mul_units
         budget = self.cfg.execute_width
-        issued = []
+        prf_ready = self.prf.ready
+        flag_ready = self.flag_file.ready
+        issued = False
         for rec in self.iq:
             if budget == 0:
                 break
-            if not self._operands_ready(rec):
+            # Operands ready?
+            ready = True
+            for phys in rec.srcs:
+                if not prf_ready[phys]:
+                    ready = False
+                    break
+            if not ready or (rec.src_flag is not None
+                             and not flag_ready[rec.src_flag]):
                 continue
-            op = rec.inst.op
-            if op in (Op.MUL, Op.MLA):
+            is_mul = rec.flow.is_mul
+            if is_mul:
                 if mul_free == 0:
                     continue
             elif rec.is_load:
@@ -271,7 +285,7 @@ class OoOCore:
             except SimFault as exc:
                 rec.fault = exc
                 latency = 1
-            if op in (Op.MUL, Op.MLA):
+            if is_mul:
                 mul_free -= 1
             elif not rec.is_load:
                 alu_free -= 1
@@ -279,14 +293,13 @@ class OoOCore:
             rec.issued = True
             rec.complete_at = self.cycle + latency
             self.wb_queue.append(rec)
-            issued.append(rec)
+            issued = True
             if rec.result_next_pc is not None and \
                     rec.result_next_pc != rec.predicted_next:
                 self._mispredict(rec)
                 break
         if issued:
-            issued_set = set(id(r) for r in issued)
-            self.iq = [r for r in self.iq if id(r) not in issued_set]
+            self.iq = [r for r in self.iq if not r.issued]
 
     def _mispredict(self, rec):
         """Squash everything younger than ``rec`` and redirect fetch."""
@@ -318,8 +331,8 @@ class OoOCore:
 
     def _read_flags(self, rec):
         if rec.src_flag is None:
-            return Flags()
-        return Flags.unpack(self.flag_file.read(rec.src_flag))
+            return _FLAGS[0]
+        return _FLAGS[self.flag_file.read(rec.src_flag) & 0xF]
 
     def _write_dest(self, rec, arch, value):
         for darch, new, _ in rec.dests:
@@ -370,29 +383,29 @@ class OoOCore:
         op = inst.op
         cfg = self.cfg
         flags = self._read_flags(rec)
-        if inst.cond != Cond.AL and not cond_passed(inst.cond, flags):
+        if inst.cond != _AL and not cond_passed(inst.cond, flags):
             self._copy_old_dests(rec)
-            if op in (Op.B, Op.BL, Op.BX) or _PC in inst.dst_regs():
+            if rec.flow.is_branch:
                 rec.result_next_pc = rec.pc + 4
-            if op == Op.B or (op == Op.BL and inst.cond != Cond.AL):
+            if op == _B or op == _BL:
                 self.predictor.update(rec.pc, taken=False)
             rec.addr_resolved = True
             return cfg.alu_latency
 
-        if op in DP_REG_OPS or op in DP_IMM_OPS:
+        if op in _DP_OPS:
             return self._exec_dp(rec, flags)
-        if op == Op.MOVW:
+        if op == _MOVW:
             return self._finish_alu(rec, inst.rd, inst.imm & 0xFFFF)
-        if op == Op.MOVT:
+        if op == _MOVT:
             old = self._read_operand(rec, inst.rd)
             value = (old & 0xFFFF) | ((inst.imm & 0xFFFF) << 16)
             return self._finish_alu(rec, inst.rd, value)
-        if op in (Op.MUL, Op.MLA):
+        if rec.flow.is_mul:
             result = alu.multiply(
                 op,
                 self._read_operand(rec, inst.rn),
                 self._read_operand(rec, inst.rm),
-                self._read_operand(rec, inst.ra) if op == Op.MLA else 0,
+                self._read_operand(rec, inst.ra) if op == _MLA else 0,
             )
             if inst.s:
                 new_flags = Flags(
@@ -404,26 +417,26 @@ class OoOCore:
             return cfg.mul_latency
         if op in MEM_SIZE:
             return self._exec_mem(rec, flags)
-        if op == Op.LDM:
+        if op == _LDM:
             return self._exec_ldm(rec)
-        if op == Op.STM:
+        if op == _STM:
             return self._exec_stm(rec)
-        if op == Op.B:
+        if op == _B:
             rec.result_next_pc = (rec.pc + inst.imm) & 0xFFFFFFFC
-            if inst.cond != Cond.AL:
+            if inst.cond != _AL:
                 self.predictor.update(rec.pc, taken=True)
             return cfg.alu_latency
-        if op == Op.BL:
+        if op == _BL:
             self._write_dest(rec, 14, rec.pc + 4)
             rec.result_next_pc = (rec.pc + inst.imm) & 0xFFFFFFFC
             return cfg.alu_latency
-        if op == Op.BX:
+        if op == _BX:
             rec.result_next_pc = self._read_operand(rec, inst.rm) \
                 & 0xFFFFFFFC
             return cfg.alu_latency
-        if op in (Op.SVC, Op.NOP):
+        if op in _NOP_OPS:
             return cfg.alu_latency
-        if op == Op.HLT:
+        if op == _HLT:
             raise SimFault("halt-trap", "executed HLT/pool word",
                            addr=rec.pc)
         raise SimFault("undefined-inst", repr(op), addr=rec.pc)
@@ -458,7 +471,7 @@ class OoOCore:
         )
         result, new_flags = alu.dp_compute(op, rn_value, op2, flags,
                                            shifter_carry)
-        if inst.s or op in COMPARE_OPS:
+        if rec.flow.writes_flags:
             self._set_flags(rec, new_flags)
         if op not in COMPARE_OPS:
             if inst.rd == _PC:
@@ -471,7 +484,7 @@ class OoOCore:
         inst = rec.inst
         size = MEM_SIZE[inst.op]
         base = self._read_operand(rec, inst.rn)
-        if inst.op in (Op.LDR, Op.STR, Op.LDRB, Op.STRB, Op.LDRH, Op.STRH):
+        if inst.op in MEM_REG_FORM:  # immediate offset
             offset = inst.imm
         else:
             value = self._read_operand(rec, inst.rm)
@@ -565,9 +578,9 @@ class OoOCore:
                 break
             if len(self.iq) >= self.cfg.iq_entries:
                 break
-            inst = rec.inst
-            dsts = [a for a in inst.dst_regs() if a != _PC]
-            need_flags = inst.writes_flags()
+            flow = rec.flow
+            dsts = flow.reg_dsts
+            need_flags = flow.writes_flags
             if self.rat.available() < len(dsts):
                 break
             if need_flags and self.flag_rat.available() < 1:
@@ -579,16 +592,14 @@ class OoOCore:
                 self.rob.append(rec)
                 budget -= 1
                 continue
-            src_arches = set(a for a in inst.src_regs() if a != _PC)
-            rec.phys_of = {a: self.rat.lookup(a) for a in src_arches}
+            rec.phys_of = {a: self.rat.lookup(a) for a in flow.renamed_srcs}
             srcs = list(rec.phys_of.values())
-            if inst.cond != Cond.AL or inst.reads_flags() \
-                    or inst.writes_flags():
+            if flow.flag_src:
                 rec.src_flag = self.flag_rat.lookup(0)
             for arch in dsts:
                 new, old = self.rat.allocate(arch)
                 rec.dests.append((arch, new, old))
-                if inst.cond != Cond.AL:
+                if flow.conditional:
                     srcs.append(old)
             if need_flags:
                 rec.flag_dest = self.flag_rat.allocate(0)
@@ -649,14 +660,14 @@ class OoOCore:
 
     def _predict_next(self, inst, pc):
         op = inst.op
-        if op == Op.B:
-            if inst.cond == Cond.AL or self.predictor.predict_taken(pc):
+        if op == _B:
+            if inst.cond == _AL or self.predictor.predict_taken(pc):
                 return (pc + inst.imm) & 0xFFFFFFFC
             return pc + 4
-        if op == Op.BL:
+        if op == _BL:
             self.predictor.push_return(pc + 4)
             return (pc + inst.imm) & 0xFFFFFFFC
-        if op == Op.BX:
+        if op == _BX:
             target = self.predictor.pop_return()
             return target & 0xFFFFFFFC if target is not None else pc + 4
         return pc + 4

@@ -158,6 +158,43 @@ def test_mla_accumulates(a, b, acc):
     assert alu.multiply(Op.MLA, a, b, acc) == (a * b + acc) & 0xFFFFFFFF
 
 
+def _dp_reference(op, a, b, flags, shifter_carry):
+    """Per-op ARM semantics, spelled out: the check on ``dp_compute``'s
+    table-driven dispatch and sign-rule overflow."""
+    logical = {
+        Op.AND: a & b, Op.TST: a & b, Op.EOR: a ^ b, Op.TEQ: a ^ b,
+        Op.ORR: a | b, Op.BIC: a & ~b & 0xFFFFFFFF, Op.MOV: b,
+        Op.MVN: ~b & 0xFFFFFFFF,
+    }
+    if op in logical:
+        result = logical[op]
+        return result, (result >> 31, result == 0, shifter_carry, flags.v)
+    x, y, carry_in = {
+        Op.SUB: (a, ~b, 1), Op.CMP: (a, ~b, 1), Op.RSB: (b, ~a, 1),
+        Op.ADD: (a, b, 0), Op.CMN: (a, b, 0), Op.ADC: (a, b, flags.c),
+        Op.SBC: (a, ~b, flags.c),
+    }[op]
+    x &= 0xFFFFFFFF
+    y &= 0xFFFFFFFF
+    total = x + y + int(carry_in)
+    result = total & 0xFFFFFFFF
+    signed = alu.s32(x) + alu.s32(y) + int(carry_in)
+    return result, (result >> 31, result == 0, total > 0xFFFFFFFF,
+                    signed != alu.s32(result))
+
+
+@given(U32, U32, st.integers(min_value=0, max_value=15), st.booleans())
+def test_dp_compute_matches_reference(a, b, nzcv, shifter_carry):
+    flags = Flags.unpack(nzcv)
+    for op in DP_OPS:
+        result, new_flags = alu.dp_compute(op, a, b, flags, shifter_carry)
+        expected, (n, z, c, v) = _dp_reference(op, a, b, flags,
+                                               shifter_carry)
+        assert result == expected, op
+        assert (new_flags.n, new_flags.z, new_flags.c, new_flags.v) == (
+            bool(n), z, c, v), op
+
+
 def test_dp_compute_rejects_non_dp():
     with pytest.raises(ValueError):
         alu.dp_compute(Op.LDR, 0, 0, Flags(), False)

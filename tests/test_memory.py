@@ -147,6 +147,27 @@ def test_byte_write_read():
     assert value == 0x5A
 
 
+@given(st.lists(st.booleans(), min_size=4, max_size=4),
+       st.lists(st.sampled_from((0, 1, 7, 254, 255)), min_size=4,
+                max_size=4),
+       st.integers(min_value=0, max_value=3))
+def test_touch_matches_vector_aging_rule(valid, ages, way):
+    """The per-element replacement update against the array rule it
+    replaced: every valid way below 255 ages by one, then ``way`` is
+    the youngest (invalid lines and saturated ages hold)."""
+    import numpy as np
+
+    _, cache = make_cache()
+    cache.valid[3] = valid
+    cache.age[3] = ages
+    expected = np.array(ages, dtype=np.uint8)
+    bump = np.array(valid) & (expected < 255)
+    expected[bump] += 1
+    expected[way] = 0
+    cache._touch(3, way, valid)
+    assert cache.age[3].tolist() == expected.tolist()
+
+
 def test_flip_bit_in_data_array_corrupts_value():
     ram, cache = make_cache()
     cache.access(0x00, 4, write=True, value=0)

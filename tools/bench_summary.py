@@ -14,9 +14,9 @@ timestamps, so regenerating from unchanged artifacts is diff-free.
 The file is the PR-over-PR perf baseline future sessions compare
 against (``make bench-json``; uploaded as a CI artifact).
 
-Only artifacts present on disk contribute; unknown files are listed
-with an empty metric set rather than skipped, so the trajectory also
-records *which* benches ran.
+Only artifacts present on disk contribute, and only those a parser
+extracts at least one metric from: an artifact without one (no parser,
+or a parser that finds nothing) adds no empty series.
 """
 
 import argparse
@@ -152,11 +152,19 @@ def parse_store_codec(text):
 
 
 def parse_table2(text):
-    out = {}
-    match = re.search(rf"Average\s*\|[^|]*\|[^|]*\|\s*{_FLOAT}", text)
-    if match:
-        out["average throughput ratio"] = float(match.group(1))
-    return out
+    """Per-column totals of a Table II artifact's ``N k`` cells: the
+    deterministic cycle and instruction columns (wall-clock columns
+    are not persisted)."""
+    rows = [line.strip("|").split("|") for line in text.splitlines()
+            if line.startswith("|")]
+    totals = {}
+    for row in rows[1:]:
+        for header, cell in zip(rows[0], row):
+            match = re.fullmatch(rf"\s*{_FLOAT} k\s*", cell)
+            if match:
+                name = f"{header.strip()} total k"
+                totals[name] = totals.get(name, 0.0) + float(match.group(1))
+    return {name: round(total, 1) for name, total in totals.items()}
 
 
 #: Artifact basename -> extractor over the file's text.
@@ -182,7 +190,9 @@ def collect(results_dir=RESULTS_DIR):
     for path in sorted(results_dir.glob("*.txt")):
         text = path.read_text()
         parser = PARSERS.get(path.name, lambda _t: {})
-        summary[path.stem] = dict(sorted(parser(text).items()))
+        metrics = parser(text)
+        if metrics:
+            summary[path.stem] = dict(sorted(metrics.items()))
     return summary
 
 
