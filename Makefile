@@ -62,7 +62,7 @@ bench:
 # with store+resume, export the ResultSet CSV (a CI artifact), and diff
 # each level's prune=off vs prune=dead store class-by-class (the
 # exactness contract, via the sweep path).  The lanes legs re-run the
-# sweep's cells with the vectorized lane engine into fresh stores and
+# sweep's cells with the lane engine into fresh stores and
 # diff each prune mode's classes against a scalar store (the
 # cross-lane exactness contract, via the CLI path): arch at
 # execution.lanes=8 against the sweep store, rtl -- not part of the

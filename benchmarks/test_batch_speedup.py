@@ -1,45 +1,38 @@
-"""Micro-benchmark: vectorized lane engine vs scalar arch campaigns.
+"""Micro-benchmark: the arch lane walk vs scalar arch campaigns.
 
 Runs the Fig. 1 register-file configuration on the batchable arch tier
-twice with the same seed: scalar (``batch_lanes=1``, one faulty run at
-a time) and batched (``batch_lanes=8``, the lane engine steps eight
-faulty runs per decoded golden instruction).  Records both into
-``benchmarks/results/batch_speedup.txt``.
+twice with the same seed: scalar (``batch_lanes=1``, one seek and
+advance per fault) and batched (``batch_lanes=8``, the shared-advance
+walk of :mod:`repro.batch.arch`: faults in injection-cycle order, one
+seek shared by up to eight instants of a checkpoint segment, each
+later instant reached by advancing on from the previous one).  Records
+both into ``benchmarks/results/batch_speedup.txt``.
 
 Two speedup numbers are reported:
 
 * **deterministic** -- the ratio of scalar faulty-phase *simulated
-  cycles* to the lane engine's *global stepped cycles*
-  (``CampaignResult.batch_cycles``: one global step advances every
-  live lane, so the batch denominator is the per-group
-  restore-to-retire span, not lanes x that span).  Hardware-
-  independent, so the >= 3x acceptance bar is asserted on it
-  unconditionally.  The ratio grows with sample density (denser
-  samples shrink the fault-cycle spread inside each lane group),
-  hence the bench floor of 128 samples;
+  cycles* (replay + tail per fault) to the walk's *stepped cycles*
+  (``CampaignResult.batch_cycles``: walk cycles plus tails).  Every
+  tail still runs on its own, so the walk saves replay only; the ratio
+  is hardware-independent and asserted at >= 1.5x unconditionally.  It
+  grows with sample density (denser samples put more instants in each
+  segment), hence the bench floor of 128 samples;
 * **wall clock** -- the measured end-to-end ratio on this host.
-  Informational by default (numpy per-step overhead dominates small
-  windows); set ``REPRO_BENCH_ASSERT_SPEEDUP=1`` to fail unless it
-  beats 1x.
+  Informational by default; set ``REPRO_BENCH_ASSERT_SPEEDUP=1`` to
+  fail unless it beats 1x.
 
 Correctness is asserted unconditionally: batched and scalar records
 must be bit-identical (``tests/test_batch_equivalence.py`` pins the
 same promise across the execution matrix; this bench re-checks it at
-bench scale).
-
-The batched run also doubles as the copy-on-write memory probe: it
-executes under ``tracemalloc`` (traced python peak printed per host)
-and asserts the deterministic ``batch_lane_peak_bytes`` counter stays
-below half the dense ``(lanes+1) x ram`` layout the paged lane store
-replaced -- per-lane memory growth must be bounded by divergence, not
-footprint.
+bench scale).  The walk holds no lane pages, so the batched run's
+``batch_lane_peak_bytes`` must be 0 (the copy-on-write probe lives in
+``test_batch_rtl_speedup.py``).
 
 Knobs: ``REPRO_SFI_SAMPLES`` (faults, floored at 128 here).
 """
 
 import os
 import time
-import tracemalloc
 
 from conftest import bench_samples, record_keys, save_artifact
 
@@ -48,8 +41,8 @@ from repro.sim import registry
 
 WORKLOAD = "stringsearch"
 LANES = 8
-#: The cycle-ratio bar needs sample density (each lane group restores
-#: once and retires at its last lane): 128 faults clears 3x with slack.
+#: The cycle-ratio bar needs sample density (instants sharing a
+#: segment share its seek): 128 faults clear 1.5x with slack.
 MIN_SAMPLES = 128
 
 
@@ -67,37 +60,20 @@ def run_campaign(factory, lanes):
 def test_batch_speedup(benchmark):
     factory = registry.create_frontend("arch", WORKLOAD).sim_factory
     scalar, scalar_s = run_campaign(factory, lanes=1)
-
-    def measure():
-        tracemalloc.start()
-        try:
-            result, seconds = run_campaign(factory, lanes=LANES)
-            traced_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return result, seconds, traced_peak
-
-    batch, batch_s, traced_peak = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
+    batch, batch_s = benchmark.pedantic(
+        run_campaign, args=(factory, LANES), rounds=1, iterations=1)
     # Correctness first: the lane engine must be a pure throughput
     # optimisation, never a result change.
     assert record_keys(batch) == record_keys(scalar)
     assert batch.batch_cycles > 0, "lane engine never engaged"
-
-    # The COW memory probe: private page bytes are bounded by actual
-    # store divergence, far below dense per-lane RAM copies.
-    ram_bytes = len(factory().checkpoint()["ram"])
-    dense_bytes = (LANES + 1) * ram_bytes
-    assert 0 < batch.batch_lane_peak_bytes < 0.5 * dense_bytes, (
-        f"COW peak {batch.batch_lane_peak_bytes} bytes is not sub-"
-        f"linear vs dense {dense_bytes}"
-    )
+    assert batch.batch_lane_peak_bytes == 0, (
+        f"the arch walk held {batch.batch_lane_peak_bytes} lane bytes")
 
     cycle_speedup = scalar.simulated_cycles / batch.batch_cycles
     wall_speedup = scalar_s / batch_s if batch_s > 0 else 1.0
-    # The acceptance bar: >= 3x, asserted on the deterministic metric.
-    assert cycle_speedup >= 3.0, (
-        f"lane engine stepped {batch.batch_cycles} global cycles vs "
+    # The acceptance bar, asserted on the deterministic metric.
+    assert cycle_speedup >= 1.5, (
+        f"lane walk stepped {batch.batch_cycles} cycles vs "
         f"{scalar.simulated_cycles} scalar -- only {cycle_speedup:.2f}x"
     )
     if os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") == "1":
@@ -113,13 +89,12 @@ def test_batch_speedup(benchmark):
         f" arch tier)",
         f"scalar (lanes=1): {scalar.simulated_cycles:>9} faulty-phase"
         f" cycles",
-        f"batched (lanes={LANES}): {batch.batch_cycles:>9} global"
-        f" stepped cycles",
+        f"batched (lanes={LANES}): {batch.batch_cycles:>9} stepped"
+        f" cycles (walk + tails)",
         f"speedup: {cycle_speedup:.2f}x simulated cycles"
         f" (deterministic)",
         f"peak lane memory: {batch.batch_lane_peak_bytes} COW bytes"
-        f" vs {dense_bytes} dense ((lanes+1) x ram) ->"
-        f" {batch.batch_lane_peak_bytes / dense_bytes:.4f}x",
+        f" (the walk holds no lane pages)",
         "records identical: True",
     ]
     text = "\n".join(lines)
@@ -128,5 +103,3 @@ def test_batch_speedup(benchmark):
     print(text)
     print(f"wall clock (this host): scalar {scalar_s:.2f}s, batched"
           f" {batch_s:.2f}s -> {wall_speedup:.2f}x")
-    print(f"tracemalloc peak (this host, batched run):"
-          f" {traced_peak} bytes")

@@ -1,14 +1,14 @@
-"""repro.batch: the vectorized batch-fault lane engine.
+"""repro.batch: the batch-fault lane engine.
 
 ``CampaignConfig(batch_lanes=N)`` makes :class:`~repro.injection
-.campaign.FaultRunner` hand same-segment fault groups to
-:func:`LaneEngine`, which executes the N faulty runs as one
-vectorized pass over lane arrays instead of N scalar replays -- the
-arch tier as a numpy ISS lockstep (:mod:`repro.batch.arch`), the rtl
-tier as lane arrays over the in-order pipeline with drop-to-scalar
-divergence fallback (:mod:`repro.batch.rtl`).  Lane RAM views share a
-copy-on-write paged store (:mod:`repro.batch.memory`), so per-lane
-memory scales with divergent pages, not footprint.  The records are
+.campaign.FaultRunner` hand its faults to :func:`LaneEngine`, which
+shares the golden replay among up to N faulty runs instead of
+replaying it once per fault -- on the arch tier as a shared-advance
+walk that forks each fault off the golden run at its instant
+(:mod:`repro.batch.arch`), on the rtl tier as lane arrays over the
+in-order pipeline with drop-to-scalar divergence fallback
+(:mod:`repro.batch.rtl`), whose lane RAM views share a copy-on-write
+paged store (:mod:`repro.batch.memory`).  The records are
 bit-identical to the scalar path (``tests/test_batch_equivalence.py``,
 ``tests/test_batch_rtl_equivalence.py``); only the simulated work
 shrinks.  See DESIGN.md, "Lane engine".

@@ -4,25 +4,26 @@
 calls for any simulator whose ``BATCHABLE`` protocol flag is set; it
 returns the backend matching the simulator's registry level:
 
-* ``arch`` -- :class:`repro.batch.arch.ArchLaneEngine`, the
-  numpy-vectorized ISS lockstep engine, on copy-on-write paged lane
-  memory (:mod:`repro.batch.memory`);
+* ``arch`` -- :class:`repro.batch.arch.ArchLaneEngine`, a
+  shared-advance scalar walk over the golden trajectory: one
+  checkpoint fork per injection instant, no lane state at all;
 * ``rtl`` -- :class:`repro.batch.rtl.RTLLaneEngine`, lane arrays over
-  the in-order pipeline's register file, CPSR and latches, with
+  the in-order pipeline's register file, CPSR and latches, on
+  copy-on-write paged lane memory (:mod:`repro.batch.memory`), with
   drop-to-scalar fallback on pipeline-control divergence.
 
 Every backend exposes the same contract: ``run(specs)`` returns
 records positionally aligned with ``specs`` and bit-identical to the
 scalar :meth:`FaultRunner.run_one` sequence, plus the deterministic
-cost counters ``batch_cycles`` (global stepped cycles) and
+cost counters ``batch_cycles`` (cycles actually stepped) and
 ``peak_lane_bytes`` (high-water lane-memory bytes).
 
-:class:`LaneEngineBase` and :class:`LaneGroup` hold everything that is
-not tier-specific: the group's seek (:meth:`FaultRunner.advance`, the
-scalar preamble), dead-time and retirement bookkeeping, the regfile/CPSR
-flip at injection, and classification through the one outcome kernel
-(:func:`~repro.injection.classify.classify_outcome`).  A backend supplies
-its grouping policy, its lane state and its per-cycle event pass.
+:class:`LaneGroup` is the lane-array group of the rtl backend, kept
+apart from the pipeline specifics: the group's seek
+(:meth:`FaultRunner.advance`, the scalar preamble), dead-time and
+retirement bookkeeping, the regfile/CPSR flip at injection, and
+classification through the one outcome kernel
+(:func:`~repro.injection.classify.classify_outcome`).
 """
 
 import time
@@ -57,19 +58,20 @@ def LaneEngine(runner, sim, lanes):
 
 
 class LaneEngineBase:
-    """Drive a :class:`FaultRunner`'s faults through lane groups of at
-    most ``lanes`` fault lanes (each group adds the reference lane)."""
+    """Drive a :class:`FaultRunner`'s faults ``lanes`` at a time (per
+    shared seek for the arch walk, per lane group for rtl)."""
 
     def __init__(self, runner, sim, lanes):
         self.runner = runner
         self.sim = sim
         self.lanes = lanes
-        #: Global cycles actually stepped (shared replay + shared tail
-        #: per group, plus scalar reruns' replay+sim), the
-        #: deterministic batch-cost metric.
+        #: Cycles actually stepped (arch: walk plus tails; rtl: shared
+        #: replay + shared tail per group, plus scalar reruns'
+        #: replay+sim), the deterministic batch-cost metric.
         self.batch_cycles = 0
         #: High-water copy-on-write page bytes over any one group (a
-        #: dense lane build would hold ``(N+1) * footprint`` here).
+        #: dense lane build would hold ``(N+1) * footprint`` here); 0
+        #: for the arch walk, which holds no lane pages.
         self.peak_lane_bytes = 0
 
     def _run_groups(self, group_class, specs, chunks):
@@ -86,8 +88,8 @@ class LaneEngineBase:
         return records
 
     def run_scalar(self, fault):
-        """The untouched per-fault path (faults a backend cannot hold
-        as lanes, and lanes dropped on control divergence)."""
+        """The untouched per-fault path (faults the rtl backend cannot
+        hold as lanes, and lanes dropped on control divergence)."""
         record = self.runner.run_one(self.sim, fault)
         self.batch_cycles += record.replay_cycles + record.sim_cycles
         return record
@@ -200,16 +202,17 @@ class LaneGroup:
             reg, bit = divmod(fault.bit, 32)
             regs[k, reg] ^= np.uint32(1 << bit)
 
-    def _conclude(self, k, status, machine_fault=None):
+    def _conclude(self, k, status):
         """Retire lane ``k`` with the outcome kernel's verdict on a run
-        stopped with ``status``."""
+        stopped with ``status`` (never ``FAULT``: a machine fault drops
+        the lane to the scalar path first)."""
         base = self.cache.trace_base(self.faults[k].cycle)
         fclass, detail = classify_outcome(
             status, self.config.observation, self.golden,
             output=bytes(self.emus[k].output),
             hw_state=lambda: hardware_state(*self._arch_view(k)),
             pinout_suffix=lambda: self._lane_keys(k)[base:],
-            trace_base=base, machine_fault=machine_fault)
+            trace_base=base)
         self._retire(k, fclass, detail)
 
     def _retire(self, k, fclass, detail, sim_cycles=None, replay=None):

@@ -1,6 +1,6 @@
-"""Copy-on-write paged lane memory for the batch engine.
+"""Copy-on-write paged lane memory for the rtl lane backend.
 
-The first lane engine (PR 6) gave every lane -- N fault lanes plus the
+A dense lane layout gives every lane -- N fault lanes plus the
 reference lane -- a dense private copy of the group checkpoint's RAM
 image, so memory scaled as O(lanes x footprint) and capped usable lane
 counts on realistic workloads.  But the lanes *share* almost all of
@@ -27,20 +27,17 @@ view already equals the stored value.  Stores that leave a lane's view
 unchanged -- the overwhelmingly common case, since most faulty lanes
 keep executing the golden store stream -- allocate nothing.
 
-Digests stay exact rather than approximated: :meth:`compose` rebuilds
-the full dense image (base + overlays) whenever the engine needs the
-bytes a per-lane RAM copy would hold -- state digests at golden
-checkpoint boundaries, hardware-state classification, scalar export.
-Page-granular dirty tracking bounds the *storage*, never the
-observation, so the PR 3 early-stop argument is untouched.
+Observation stays exact rather than approximated: :meth:`compose`
+rebuilds the full dense image (base + overlays) whenever the engine
+needs the bytes a per-lane RAM copy would hold (hardware-state
+classification).  Page-granular dirty tracking bounds the *storage*,
+never the observation.
 
 ``allocated_bytes``/``peak_bytes`` count every materialized page
 (reference overlay included) and are deterministic for a fixed seed --
 the peak-lane-memory bench series asserts sub-linear growth against
 the dense ``lanes x footprint`` baseline.
 """
-
-import zlib
 
 import numpy as np
 
@@ -56,7 +53,7 @@ class LanePagedMemory:
     ``ref`` names the reference lane: its stores update the shared
     overlay in place, every other lane's stores privatize on first
     divergence.  Aligned power-of-two accesses (the only kind the
-    engines issue after their fault checks) never straddle a page.
+    engine issues after its fault checks) never straddle a page.
     """
 
     def __init__(self, base, width, ref, page_size=PAGE_SIZE):
@@ -109,24 +106,6 @@ class LanePagedMemory:
         page = self._page_view(k, addr >> self._shift)
         off = addr & self._mask
         return page[off:off + n].tobytes()
-
-    def gather(self, lanes, addrs, size):
-        """Per-lane reads as one uint32 array (the vector-path load).
-
-        Fast path: a uniform address over lanes that all share the
-        touched page is one shared read broadcast.
-        """
-        first = addrs[0]
-        if all(a == first for a in addrs):
-            p = first >> self._shift
-            if all(p not in self.lane_pages[k] for k in lanes):
-                return np.full(len(lanes), self.read(self.ref, first,
-                                                     size),
-                               dtype=np.uint32)
-        out = np.empty(len(lanes), dtype=np.uint32)
-        for i, k in enumerate(lanes):
-            out[i] = self.read(k, addrs[i], size)
-        return out
 
     # -- writes --------------------------------------------------------
 
@@ -210,7 +189,7 @@ class LanePagedMemory:
 
     def compose(self, k):
         """Lane ``k``'s full dense image (bytes): exactly what its
-        per-lane RAM copy would hold, for digests and scalar export."""
+        per-lane RAM copy would hold."""
         image = bytearray(self.base)
         for p, page in self.ref_pages.items():
             start = p << self._shift
@@ -219,10 +198,6 @@ class LanePagedMemory:
             start = p << self._shift
             image[start:start + page.size] = page.tobytes()
         return bytes(image)
-
-    def crc(self, k):
-        """CRC32 of the composed image (hardware-state digests)."""
-        return zlib.crc32(self.compose(k)) & 0xFFFFFFFF
 
     def release(self, k):
         """Drop lane ``k``'s private pages and stop snapshotting for it

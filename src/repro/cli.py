@@ -32,9 +32,9 @@ the program text (``static``, :mod:`repro.staticcheck`; arch and rtl
 tiers) -- plus ``--store DIR``
 to persist every completed fault to an on-disk campaign store and
 ``--resume`` to continue an interrupted run without repeating finished
-faults.  ``--lanes N`` additionally vectorizes the faulty runs of
-arch- and rtl-tier campaigns (``repro.batch``): N runs execute as one
-numpy pass with bit-identical per-fault classes.  Results are independent of
+faults.  ``--lanes N`` additionally batches the faulty runs of arch-
+and rtl-tier campaigns (``repro.batch``): N runs share one seek (arch)
+or one lane-array pass (rtl) with bit-identical per-fault classes.  Results are independent of
 the worker count, of the lane count and of interruption/resume, and
 per-fault classes are independent of ``dead`` pruning -- see DESIGN.md.
 
@@ -81,8 +81,9 @@ RESUME_HELP = (
 )
 
 LANES_HELP = (
-    "vectorized fault lanes per campaign (repro.batch): N > 1 executes "
-    "N faulty runs of the arch or rtl tier as one numpy pass; "
+    "fault lanes per campaign (repro.batch): N > 1 batches N faulty "
+    "runs of the arch tier (one shared seek) or the rtl tier (one "
+    "lane-array pass); "
     "per-fault classes are bit-identical to the scalar path.  Rejected "
     "for scenarios targeting non-batchable levels (uarch)"
 )

@@ -187,12 +187,12 @@ class CampaignConfig:
         self.batch_size = batch_size
         #: ``multiprocessing`` start method (``None`` = best available).
         self.start_method = start_method
-        #: Vectorized lane count for the faulty phase (``repro.batch``):
-        #: ``N > 1`` executes N same-segment faulty runs as one numpy
-        #: pass on backends whose ``BATCHABLE`` flag allows it (the
-        #: arch and rtl tiers).  Execution-only: records are
-        #: bit-identical to
-        #: the scalar path, so it stays out of :meth:`identity`.
+        #: Lane count for the faulty phase (``repro.batch``): ``N > 1``
+        #: batches up to N same-segment faulty runs on backends whose
+        #: ``BATCHABLE`` flag allows it (arch: one shared seek; rtl:
+        #: one lane-array pass).  Execution-only: records are
+        #: bit-identical to the scalar path, so it stays out of
+        #: :meth:`identity`.
         self.batch_lanes = batch_lanes
         #: Failed executions one fault may spend (worker crash, hung
         #: batch, in-run exception) before it is quarantined as an
@@ -500,13 +500,10 @@ class FaultRunner:
                 and count > 1)
 
     def run_many(self, sim, specs):
-        """Execute ``specs`` in fault-sample order, vectorized when
-        :meth:`uses_lanes` allows.
-
-        The lane engine executes same-segment groups of up to
-        ``batch_lanes`` faulty runs as one numpy pass; otherwise each
-        fault goes through :meth:`run_one`.  Records are bit-identical
-        either way -- the cross-lane equivalence suite pins that.
+        """Execute ``specs`` in fault-sample order, on the lane engine
+        when :meth:`uses_lanes` allows, else through :meth:`run_one`.
+        Records are bit-identical either way -- the cross-lane
+        equivalence suites pin that.
         """
         if not self.uses_lanes(sim, len(specs)):
             return [self.run_one(sim, fault) for fault in specs]
@@ -520,7 +517,8 @@ class FaultRunner:
         return records
 
     def run_one(self, sim, fault):
-        """Seek, advance, inject, finish, classify: one FaultRecord.
+        """Seek, advance, then :meth:`inject_and_classify`: one
+        FaultRecord.
 
         The seek restores the nearest retained golden checkpoint at or
         before the injection instant (``warm_start``) or the base
@@ -530,7 +528,20 @@ class FaultRunner:
         """
         run_start = time.perf_counter()
         trace_base, restore_cycle, reached = self.advance(sim, fault.cycle)
-        replay_cycles = sim.cycle - restore_cycle
+        return self.inject_and_classify(
+            sim, fault, trace_base, reached,
+            replay_cycles=sim.cycle - restore_cycle, run_start=run_start)
+
+    def inject_and_classify(self, sim, fault, trace_base, reached,
+                            replay_cycles, run_start):
+        """Inject, finish, classify: the record of ``fault`` once
+        ``sim`` stands at its injection instant.
+
+        ``reached`` is False when the golden run ended first (the fault
+        lands in dead time).  ``replay_cycles`` is what the caller spent
+        getting ``sim`` here and ``run_start`` when it began; the
+        scalar path and the arch lane walk both end every fault here.
+        """
         if not reached:
             return FaultRecord(
                 fault, FaultClass.MASKED, AFTER_PROGRAM_END, sim_cycles=0,
@@ -563,8 +574,9 @@ class FaultRunner:
         Returns ``(trace_base, restore_cycle, reached)``.  ``reached``
         is False when the restored run ended first (drain jitter near
         program end): a fault at ``cycle`` lands in dead time and
-        cannot corrupt anything.  The lane engines share this preamble
-        for a whole group, up to its earliest injection instant.
+        cannot corrupt anything.  The rtl lane engine shares this
+        preamble for a whole group, up to its earliest injection
+        instant; the arch lane walk seeks through it.
         """
         trace_base, restore_cycle = self.golden["cache"].seek(
             sim, cycle, warm=self.config.warm_start,

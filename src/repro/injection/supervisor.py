@@ -678,9 +678,9 @@ def run_in_process(sim, runner, items, retries=DEFAULT_RETRIES,
                    on_incident=None, stop=None):
     """In-process execution with the lane engine when it applies.
 
-    The vectorized lane path (:meth:`~repro.injection.campaign
-    .FaultRunner.uses_lanes`) runs whole same-segment groups as one
-    numpy pass, which has no per-fault retry boundary -- so it is used
+    The lane path (:meth:`~repro.injection.campaign
+    .FaultRunner.uses_lanes`) runs the whole batch through the lane
+    engine, which has no per-fault retry boundary -- so it is used
     exactly when no chaos is configured, and an exception there
     propagates as it always did.  Everything else goes through
     :func:`run_serial_supervised`.

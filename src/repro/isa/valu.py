@@ -1,10 +1,11 @@
 """Vectorized data-path logic: numpy mirrors of :mod:`repro.isa.alu`.
 
-The batch-fault lane engine (``repro.batch``) executes N faulty runs as
-one numpy pass over ``(N,)`` uint32 lane arrays.  Every function here is
-the element-wise twin of its scalar namesake in ``alu.py`` /
-``flags.py`` -- same ARM semantics, bit for bit -- so the cross-lane
-equivalence suite can hold the batched path to the scalar contract.
+The rtl lane backend (``repro.batch.rtl``) carries N faulty runs'
+data paths as ``(N,)`` uint32 lane arrays through one pipeline.  Every
+function here is the element-wise twin of its scalar namesake in
+``alu.py`` / ``flags.py`` -- same ARM semantics, bit for bit -- so the
+cross-lane equivalence suite can hold the batched path to the scalar
+contract.
 
 Two numpy pitfalls are handled explicitly, because they are exactly the
 places where dtype promotion could silently diverge from scalar 32-bit

@@ -250,8 +250,8 @@ class CellSpec:
     #: Per-batch wall-clock budget in seconds (``None`` = derived from
     #: the golden run's wall cost x hang_factor).
     batch_timeout: object = None
-    #: Vectorized lane count for the faulty phase (lane-batchable
-    #: tiers: arch and rtl).
+    #: Lane count for the faulty phase (lane-batchable tiers: arch
+    #: and rtl).
     lanes: int = 1
     #: Sweep coordinates of this cell: ``(axis, value)`` pairs in the
     #: sweep's declaration order (empty without a sweep).
@@ -603,9 +603,9 @@ class ScenarioSpec:
                     "execution.lanes",
                     f"lanes={self.lanes} needs a batchable backend, "
                     f"but level {level!r} is not",
-                    hint="the lane engine vectorizes the arch and "
-                         "rtl tiers; restrict targets.levels or use "
-                         "lanes = 1")
+                    hint="the lane engine has arch and rtl "
+                         "backends only; restrict targets.levels or "
+                         "use lanes = 1")
 
     def _level_combos(self):
         """Every (level, structure, mode) combination the grid (plus a

@@ -111,9 +111,9 @@ class ArchSim(SimulatorBase):
     #: golden boundary digests (enables campaign early-stop).
     DRAIN_FREE = True
 
-    #: Pure architectural state + flat RAM: the batch-fault lane engine
-    #: can hold N faulty copies as numpy lane arrays and step them in
-    #: lockstep (``repro.batch``).
+    #: Drain-free, so a checkpoint at any cycle is an exact fork of the
+    #: golden machine: the lane engine walks the golden run once per
+    #: group of instants and forks each fault off it (``repro.batch``).
     BATCHABLE = True
 
     #: ``_ArchCore.tick`` executes the instruction *then* advances the

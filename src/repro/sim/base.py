@@ -81,8 +81,9 @@ class SimulatorBase:
     DRAIN_FREE = False
 
     #: True when the batch-fault lane engine (``repro.batch``) has a
-    #: lane backend for this level: the arch emulator runs as a numpy
-    #: ISS lockstep, the rtl pipeline as lane arrays over its register
+    #: lane backend for this level: the arch emulator as a
+    #: shared-advance walk forking one checkpoint per injection
+    #: instant, the rtl pipeline as lane arrays over its register
     #: file/CPSR with drop-to-scalar fallback on control divergence.
     #: ``execution.lanes > 1`` is rejected at scenario validation for
     #: levels without a backend (today: uarch).

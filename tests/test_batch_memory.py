@@ -13,16 +13,13 @@ bit for bit at every step.
 
 The engine-facing guarantees pinned here:
 
-* ``read``/``read_byte``/``view_bytes``/``gather`` equal the dense view
-  after arbitrary write interleavings;
-* ``compose``/``crc`` round-trip the exact dense image (digest
-  soundness: page-granular dirty tracking bounds storage, never what
-  the digest observes);
+* ``read``/``read_byte``/``view_bytes`` equal the dense view after
+  arbitrary write interleavings;
+* ``compose`` round-trips the exact dense image (page-granular dirty
+  tracking bounds storage, never what classification observes);
 * ``release`` frees a retired lane's private pages and never perturbs
   surviving lanes' views.
 """
-
-import zlib
 
 import pytest
 
@@ -100,22 +97,13 @@ def test_reads_match_dense_oracle(wl):
             assert store.read(k, addr, 4) == oracle.read(k, addr, 4)
             assert (store.view_bytes(k, addr, 4)
                     == bytes(oracle.images[k][addr:addr + 4]))
-    lanes = list(range(WIDTH))
-    addrs = sorted(probes)[:WIDTH]
-    if len(addrs) == WIDTH:
-        expect = [oracle.read(k, a, 4) for k, a in zip(lanes, addrs)]
-        assert list(store.gather(lanes, addrs, 4)) == expect
-    uniform = [next(iter(probes))] * WIDTH
-    assert list(store.gather(lanes, uniform, 4)) == [
-        oracle.read(k, uniform[0], 4) for k in lanes]
 
 
 @settings(max_examples=60, deadline=None)
 @given(workload())
-def test_compose_and_crc_round_trip(wl):
-    """compose(k) rebuilds the exact dense image; crc(k) digests it.
-    Composition is read-only: repeating it changes nothing, and it
-    never allocates."""
+def test_compose_round_trip(wl):
+    """compose(k) rebuilds the exact dense image.  Composition is
+    read-only: repeating it changes nothing, and it never allocates."""
     base, instants = wl
     store, oracle = run_both(base, instants)
     allocated = store.allocated_bytes
@@ -123,7 +111,6 @@ def test_compose_and_crc_round_trip(wl):
         image = store.compose(k)
         assert image == bytes(oracle.images[k])
         assert store.compose(k) == image
-        assert store.crc(k) == zlib.crc32(image) & 0xFFFFFFFF
     assert store.allocated_bytes == allocated
     assert store.peak_bytes >= allocated
 

@@ -6,10 +6,10 @@ RT-level model must compute identical architectural results.  This is
 the broadest semantic net in the suite -- any divergence in ALU, flags,
 forwarding, renaming or bypass behaviour fails here.
 
-The second half turns the same generator against the vectorized lane
-engine (``repro.batch``): random fault batches over random programs
-must classify bit-identically to the scalar campaign path, on both
-lane backends (arch numpy lockstep and rtl pipeline lanes).
+The second half turns the same generator against the lane engine
+(``repro.batch``): random fault batches over random programs must
+classify bit-identically to the scalar campaign path, on both lane
+backends (the arch shared-advance walk and rtl pipeline lanes).
 """
 
 from hypothesis import given, settings, strategies as st

@@ -117,7 +117,7 @@ def parse_batch_speedup(text):
         "scalar faulty-phase cycles":
             rf"scalar \(lanes=1\):\s+{_FLOAT} faulty-phase",
         "batched global stepped cycles":
-            rf"batched \(lanes=\d+\):\s+{_FLOAT} global stepped",
+            rf"batched \(lanes=\d+\):\s+{_FLOAT} (?:global )?stepped",
         "cycle speedup x": rf"speedup: {_FLOAT}x simulated cycles",
         "peak lane COW bytes":
             rf"peak lane memory: {_FLOAT} COW bytes",
