@@ -29,9 +29,9 @@ divergence).  Surviving lanes therefore share the reference control
 stream cycle for cycle, which is what makes their pinout traces,
 syscall outputs and hardware state exactly what their scalar runs
 would produce, and the outcome kernel they are classified through is
-the scalar path's own (:mod:`repro.batch.engine`);
-``tests/test_batch_rtl_equivalence.py`` pins the records bit-identical
-across the matrix.
+the scalar path's own (:func:`~repro.injection.classify
+.classify_outcome`); ``tests/test_batch_rtl_equivalence.py`` pins the
+records bit-identical across the matrix.
 
 Groups are formed per golden checkpoint segment
 (:meth:`CheckpointCache.boundary_at_or_before`): the RT-level seek is
@@ -41,13 +41,22 @@ faults (``l1d.*``/``l1i.*``) mutate the shared cache model itself and
 always take the scalar path.
 """
 
+import time
+
 import numpy as np
 
-from repro.batch.engine import LaneEngineBase, LaneGroup
+from repro.batch.engine import LaneEngineBase
 from repro.batch.memory import LanePagedMemory
 from repro.errors import SimFault
-from repro.injection.observation import coherent_image
+from repro.injection.classify import (
+    AFTER_PROGRAM_END,
+    FaultClass,
+    FaultRecord,
+    classify_outcome,
+)
+from repro.injection.observation import coherent_image, hardware_state
 from repro.isa import valu
+from repro.isa.flags import Flags
 from repro.isa.instructions import (
     COMPARE_OPS,
     Cond,
@@ -60,7 +69,7 @@ from repro.isa.instructions import (
     STORE_OPS,
     UNARY_OPS,
 )
-from repro.isa.syscalls import SyscallError
+from repro.isa.syscalls import SyscallEmulator, SyscallError
 from repro.rtl.core import RTLCore, _PC
 from repro.sim.base import RunStatus
 
@@ -94,16 +103,93 @@ class RTLLaneEngine(LaneEngineBase):
                 groups[-1][1].append(i)
             else:
                 groups.append((boundary, [i]))
-        return self._run_groups(_RTLLaneGroup, specs,
-                                [chunk for _, chunk in groups])
+        records = [None] * len(specs)
+        for _, chunk in groups:
+            group = _RTLLaneGroup(self, [(i, specs[i]) for i in chunk])
+            for index, record in group.run():
+                records[index] = record
+        # Faults no group resolved take the scalar path, in sample order.
+        for i, spec in enumerate(specs):
+            if records[i] is None:
+                records[i] = self.run_scalar(spec)
+        return records
+
+    def run_scalar(self, fault):
+        """The untouched per-fault path (faults the lanes cannot hold,
+        and lanes dropped on control divergence)."""
+        record = self.runner.run_one(self.sim, fault)
+        self.batch_cycles += record.replay_cycles + record.sim_cycles
+        return record
 
 
-class _RTLLaneGroup(LaneGroup):
-    """One same-segment group: N fault lanes + the reference lane."""
+class _RTLLaneGroup:
+    """One same-segment group: N fault lanes (``0..N-1``) plus the
+    fault-free reference lane ``N``.
+
+    The group's seek is :meth:`FaultRunner.advance` (the scalar
+    preamble); from the earliest injection instant the lane core steps
+    every lane until none is pending, retiring each through the one
+    outcome kernel, or dropping it to the scalar rerun.
+    """
+
+    def __init__(self, engine, items):
+        self.engine = engine
+        self.items = items  # [(original sample index, FaultSpec)]
+        runner = engine.runner
+        self.config = runner.config
+        self.golden = runner.golden
+        self.cache = runner.golden["cache"]
+        self.deadline = runner.hang_deadline
+        self.faults = [fault for _, fault in items]
+        count = len(items)
+        self.ref = count
+        self.width = count + 1
+        self.pending = set(range(count))
+        #: Injected lanes, i.e. the ones divergence enforcement watches.
+        self.checked = set()
+        self.injected = [False] * count
+        self.replay = [0] * count
+        #: ``(class, detail, sim_cycles, replay)`` per retired lane;
+        #: ``None`` leaves the record to the scalar rerun.
+        self.records = [None] * count
+        window = self.config.window
+        self.ends = [None if window is None else fault.cycle + window
+                     for fault in self.faults]
 
     @property
     def cycle(self):
         return self.core.cycle
+
+    def run(self):
+        engine = self.engine
+        sim = engine.sim
+        wall_start = time.perf_counter()
+        _, self.restore_cycle, reached = engine.runner.advance(
+            sim, min(fault.cycle for fault in self.faults))
+        if reached:
+            end = self._run_lanes(sim)
+            engine.peak_lane_bytes = max(engine.peak_lane_bytes,
+                                         self.store.peak_bytes)
+        else:
+            # The golden run ends before the earliest injection instant;
+            # every later instant is past program end too, so the whole
+            # group lands in dead time, lane for lane.
+            end = sim.cycle
+            self.records = [(FaultClass.MASKED, AFTER_PROGRAM_END, 0,
+                             end - self.restore_cycle)] * len(self.items)
+        engine.batch_cycles += end - self.restore_cycle
+        wall = (time.perf_counter() - wall_start) / len(self.items)
+        out = []
+        for (index, fault), record in zip(self.items, self.records):
+            if record is None:
+                # The scalar rerun owns the record (and its wall time).
+                out.append((index, engine.run_scalar(fault)))
+                continue
+            fclass, detail, sim_cycles, replay = record
+            out.append((index, FaultRecord(
+                fault, fclass, detail, sim_cycles=sim_cycles,
+                wall_seconds=wall, replay_cycles=replay)))
+        return out
 
     def _run_lanes(self, sim):
         self._adopt(sim)
@@ -128,8 +214,6 @@ class _RTLLaneGroup(LaneGroup):
         file, CPSR and RAM view become per-lane.  ``sim.core`` is left
         untouched -- the next ``seek()`` restores a fresh scalar core.
         """
-        #: Injected lanes, i.e. the ones divergence enforcement watches.
-        self.checked = set()
         # The coherent flat image -- exactly the view the scalar memory
         # digest hashes.
         self.store = LanePagedMemory(coherent_image(sim.ram, (sim.dcache,)),
@@ -225,12 +309,6 @@ class _RTLLaneGroup(LaneGroup):
                 self._release(k)
         return ref_value
 
-    def _release(self, k):
-        """Also drops a lane that left the reference control path: it
-        leaves the vector with no record, so the scalar rerun owns it."""
-        super()._release(k)
-        self.checked.discard(k)
-
     # -- the campaign event pass ---------------------------------------
 
     def _events(self):
@@ -247,20 +325,113 @@ class _RTLLaneGroup(LaneGroup):
                 continue
             self._expire(k)
 
+    # -- the scalar run loop's events, per lane --------------------------
+
+    def _arm(self, k, halted):
+        """The pre-injection advance of ``run_one`` for lane ``k``: a
+        lane whose program ended first lands in dead time, a lane at its
+        instant is injected.  Returns whether ``k`` is live and
+        injected (``halted`` is unchanged by the flip)."""
+        if self.injected[k]:
+            return True
+        if halted:
+            self._retire(k, FaultClass.MASKED, AFTER_PROGRAM_END,
+                         sim_cycles=0,
+                         replay=self.cycle - self.restore_cycle)
+            return False
+        if self.cycle < self.faults[k].cycle:
+            return False
+        self._inject(k)
+        return True
+
+    def _expire(self, k):
+        """Window end, then the watchdog -- the scalar stop order."""
+        end = self.ends[k]
+        if end is not None and self.cycle >= end:
+            self._conclude(k, RunStatus.STOPPED)
+        elif self.cycle >= self.deadline:
+            self._conclude(k, RunStatus.TIMEOUT)
+
     def _inject(self, k):
-        super()._inject(k)
+        """Flip lane ``k``'s fault bit in the lane arrays (register file
+        entry or CPSR flag -- the structures lanes hold) and put the
+        lane under divergence enforcement."""
+        fault = self.faults[k]
+        self.injected[k] = True
         self.checked.add(k)
-
-    # -- per-lane observation ------------------------------------------
-
-    def _lane_arrays(self):
+        self.replay[k] = self.cycle - self.restore_cycle
         core = self.core
-        return core.rf.lregs, core.ln, core.lz, core.lc, core.lv
+        if fault.structure == "cpsr":
+            flags = Flags.unpack(self._flag_pack(k) ^ (1 << fault.bit))
+            core.ln[k], core.lz[k], core.lc[k], core.lv[k] = \
+                flags.n, flags.z, flags.c, flags.v
+        else:  # regfile (banked/spare entries included)
+            reg, bit = divmod(fault.bit, 32)
+            core.rf.lregs[k, reg] ^= np.uint32(1 << bit)
 
-    def _arch_view(self, k):
-        # The composed lane view *is* RAM + dirty lines.
-        return (self.core.rf.lregs[k, :15], self._flag_pack(k),
-                self.store.compose(k))
+    def _conclude(self, k, status):
+        """Retire lane ``k`` with the outcome kernel's verdict on a run
+        stopped with ``status`` (never ``FAULT``: a machine fault drops
+        the lane to the scalar path first).  The hardware state is the
+        lane's registers, flags and composed memory view (RAM + dirty
+        lines)."""
+        base = self.cache.trace_base(self.faults[k].cycle)
+        fclass, detail = classify_outcome(
+            status, self.config.observation, self.golden,
+            output=bytes(self.emus[k].output),
+            hw_state=lambda: hardware_state(
+                self.core.rf.lregs[k, :15], self._flag_pack(k),
+                self.store.compose(k)),
+            pinout_suffix=lambda: self._lane_keys(k)[base:],
+            trace_base=base)
+        self._retire(k, fclass, detail)
+
+    def _retire(self, k, fclass, detail, sim_cycles=None, replay=None):
+        if sim_cycles is None:
+            sim_cycles = self.cycle - self.faults[k].cycle
+        if replay is None:
+            replay = self.replay[k]
+        self.records[k] = (fclass, detail, sim_cycles, replay)
+        self._release(k)
+
+    def _release(self, k):
+        """Take lane ``k`` out of the live set and free its pages.  A
+        lane released without a record (it left the reference control
+        path) is rerun on the scalar path."""
+        self.pending.discard(k)
+        self.checked.discard(k)
+        self.store.release(k)
+
+    # -- lane state ----------------------------------------------------
+
+    def _lane_streams(self, syscalls, pinout, count):
+        """Syscall emulators restored from ``syscalls`` and pinout key
+        lists for lanes ``0..count-1``.  The golden ``pinout`` at the
+        group start is a shared prefix; each lane appends only its own
+        post-start transactions."""
+        self.emus = []
+        for _ in range(count):
+            emu = SyscallEmulator()
+            emu.restore(syscalls)
+            self.emus.append(emu)
+        self.prefix_keys = [t.key() for t in pinout]
+        self.keys = [[] for _ in range(count)]
+
+    def _flag_lanes(self, pack):
+        """``[n, z, c, v]`` lane arrays, every lane holding ``pack``."""
+        flags = Flags.unpack(pack)
+        return [np.full(self.width, bit, dtype=bool)
+                for bit in (flags.n, flags.z, flags.c, flags.v)]
+
+    def _flag_pack(self, k):
+        core = self.core
+        return ((int(core.ln[k]) << 3) | (int(core.lz[k]) << 2)
+                | (int(core.lc[k]) << 1) | int(core.lv[k]))
+
+    def _lane_keys(self, k):
+        """Lane ``k``'s whole pinout key list: the shared golden prefix
+        at the group start plus its own transactions."""
+        return self.prefix_keys + self.keys[k]
 
 
 class _LaneRegFile:

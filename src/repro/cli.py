@@ -23,19 +23,21 @@ remaining subcommands run no campaign grid::
 (``repro.sim.registry``): the architectural emulator (``arch``), the
 microarchitectural model (``uarch``) and the RT-level model (``rtl``).
 
-``run`` accepts ``--jobs`` to fan the faulty runs of each campaign out
-over a process pool (default: the spec's ``execution.jobs``, which
-every preset leaves at 1, the serial path), ``--prune {off,dead,static}``
-to control fault pruning -- lifetime-aware from the golden access
-trace (``dead``) or capture-free from static dataflow analysis of
-the program text (``static``, :mod:`repro.staticcheck`; arch and rtl
-tiers) -- plus ``--store DIR``
-to persist every completed fault to an on-disk campaign store and
-``--resume`` to continue an interrupted run without repeating finished
-faults.  ``--lanes N`` additionally batches the faulty runs of arch-
-and rtl-tier campaigns (``repro.batch``): N runs share one seek (arch)
-or one lane-array pass (rtl) with bit-identical per-fault classes.  Results are independent of
-the worker count, of the lane count and of interruption/resume, and
+``run``'s knob flags -- ``--jobs``, ``--lanes``, ``--prune``,
+``--retries``, ``--store``, ``--store-format`` and ``--resume`` -- are
+generated from the knob table (:mod:`repro.scenario.knobs`), and each
+is an exact alias of ``--set execution.<key>=VALUE``: same parsing, same
+validation, same error naming the field (``--store``'s path alone is
+taken verbatim, never TOML-coerced).  ``--jobs N|auto`` fans the
+faulty runs of each campaign out over a process pool, ``--lanes N``
+batches the faulty runs of arch- and rtl-tier campaigns
+(``repro.batch``), ``--prune {off,dead,static}`` picks fault pruning
+-- lifetime-aware from the golden access trace (``dead``) or
+capture-free from static dataflow analysis of the program text
+(``static``, :mod:`repro.staticcheck`) -- and ``--store DIR`` /
+``--resume`` persist every completed fault and continue an interrupted
+run without repeating finished faults.  Results are independent of the
+worker count, of the lane count and of interruption/resume, and
 per-fault classes are independent of ``dead`` pruning -- see DESIGN.md.
 
 Campaigns run supervised: a crashed or hung worker is respawned and its
@@ -53,58 +55,6 @@ import sys
 
 #: Subcommands that are argv aliases of ``run <preset>``.
 PRESET_ALIASES = ("fig1", "fig2", "fig3", "headline", "table2")
-
-#: Shared text for the --jobs flag (also referenced from README.md).
-JOBS_HELP = (
-    "worker processes per campaign's faulty-run phase "
-    "(default: the spec's execution.jobs, 1 in every preset; "
-    "1 = serial, deterministic baseline; per-fault classes are "
-    "identical for any value, only wall time changes)"
-)
-
-STORE_HELP = (
-    "root directory for on-disk campaign stores (one subdirectory per "
-    "series: manifest + append-only records, flushed per fault; fresh "
-    "stores use the compact binary format -- see --store-format)"
-)
-
-STORE_FORMAT_HELP = (
-    "record format for fresh stores: 'binary' (default; bitpacked "
-    "records.bin + strings.dat, mmap-queried) or 'jsonl' (one JSON "
-    "object per fault, human-greppable).  Existing stores keep their "
-    "format; `repro-study store <dir> --export jsonl` converts"
-)
-
-RESUME_HELP = (
-    "load faults already completed in --store instead of re-running "
-    "them; the merged result is bit-identical to an uninterrupted run"
-)
-
-LANES_HELP = (
-    "fault lanes per campaign (repro.batch): N > 1 batches N faulty "
-    "runs of the arch tier (one shared seek) or the rtl tier (one "
-    "lane-array pass); "
-    "per-fault classes are bit-identical to the scalar path.  Rejected "
-    "for scenarios targeting non-batchable levels (uarch)"
-)
-
-RETRIES_HELP = (
-    "failed-batch attempts per fault before quarantine (default: 2): a "
-    "fault whose batch crashes, hangs past its deadline or raises this "
-    "many times is recorded as an incident in the store's "
-    "incidents.jsonl sidecar and the campaign completes degraded; "
-    "every other fault's class is unaffected"
-)
-
-PRUNE_HELP = (
-    "fault pruning: 'dead' (default) classifies faults whose bit is "
-    "overwritten before its next read as Masked without simulating "
-    "them (repro.prune, golden access trace) -- per-fault classes are "
-    "identical to 'off', only cheaper; 'static' proves the same "
-    "dead-interval verdicts from dataflow analysis of the program "
-    "text alone (repro.staticcheck, no access trace captured; arch "
-    "and rtl tiers -- elsewhere every fault simulates)"
-)
 
 _EPILOGS = {
     "run": """\
@@ -169,24 +119,6 @@ examples:
   repro-study staticcheck --all
   repro-study staticcheck stringsearch""",
 }
-
-
-def _positive_jobs(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive worker count, got {value}"
-        )
-    return value
-
-
-def _positive_retries(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive attempt count, got {value}"
-        )
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -287,34 +219,36 @@ def _render_scenario(spec, resultset):
 
 
 def _run_flag_overrides(args):
-    """The run subcommand's convenience flags as --set pairs (applied
-    before --set, so an explicit --set wins)."""
+    """The run subcommand's knob flags as --set pairs (applied before
+    --set, so an explicit --set wins).  A flag is an exact alias of
+    ``--set section.key=VALUE``; a literal knob's value (``--store``)
+    goes as a pre-split pair, so it reaches the spec verbatim instead of
+    through TOML-scalar coercion (see parse_overrides)."""
+    from repro.scenario.knobs import RUN_FLAGS
+
     overrides = []
-    if args.jobs is not None:
-        overrides.append(f"execution.jobs={args.jobs}")
-    if args.lanes is not None:
-        overrides.append(f"execution.lanes={args.lanes}")
-    if args.prune is not None:
-        overrides.append(f"execution.prune={args.prune}")
-    if args.retries is not None:
-        overrides.append(f"execution.retries={args.retries}")
-    if args.store is not None:
-        # pre-split tuple: the path must reach the spec verbatim, not
-        # through TOML-scalar coercion (see parse_overrides)
-        overrides.append((("execution", "store"), args.store))
-    if getattr(args, "store_format", None) is not None:
-        overrides.append(f"execution.store_format={args.store_format}")
-    if args.resume:
-        overrides.append("execution.resume=true")
+    for knob in RUN_FLAGS:
+        value = getattr(args, knob.key)
+        if value is None or value is False:  # unset (or a False switch)
+            continue
+        if knob.literal:
+            overrides.append(((knob.section, knob.key), value))
+        else:
+            overrides.append(f"{knob.field}={value}")
     return overrides
 
 
-def _cmd_run(args):
+def _load_run_spec(args):
+    """The validated spec a parsed ``run`` command line describes."""
     from repro.scenario.spec import load_scenario
 
-    path = _resolve_scenario(args.scenario)
-    spec = load_scenario(
-        path, overrides=_run_flag_overrides(args) + (args.set or []))
+    return load_scenario(_resolve_scenario(args.scenario),
+                         overrides=_run_flag_overrides(args)
+                         + (args.set or []))
+
+
+def _cmd_run(args):
+    spec = _load_run_spec(args)
     if spec.present.get("kind") == "table2":
         if args.csv:
             raise SystemExit(
@@ -452,13 +386,10 @@ def _add_parser(sub, name, help_text):
     )
 
 
-def main(argv=None):
+def build_parser():
+    """The ``repro-study`` argument parser (every subcommand)."""
     from repro import __version__
-    from repro.prune import PRUNE_MODES
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in PRESET_ALIASES:
-        argv.insert(0, "run")
+    from repro.scenario.knobs import RUN_FLAGS
 
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -480,19 +411,13 @@ def main(argv=None):
     p_run.add_argument("--csv", default=None, metavar="PATH",
                        help="write the ResultSet summary CSV "
                             "(one row per cell) to PATH")
-    p_run.add_argument("--jobs", type=_positive_jobs, default=None,
-                       help=JOBS_HELP)
-    p_run.add_argument("--lanes", type=_positive_jobs, default=None,
-                       help=LANES_HELP + " (default: the spec's "
-                            "execution.lanes)")
-    p_run.add_argument("--prune", choices=PRUNE_MODES,
-                       default=None, help=PRUNE_HELP)
-    p_run.add_argument("--retries", type=_positive_retries, default=None,
-                       help=RETRIES_HELP)
-    p_run.add_argument("--store", default=None, help=STORE_HELP)
-    p_run.add_argument("--store-format", choices=("binary", "jsonl"),
-                       default=None, help=STORE_FORMAT_HELP)
-    p_run.add_argument("--resume", action="store_true", help=RESUME_HELP)
+    for knob in RUN_FLAGS:
+        if isinstance(knob.default, bool):
+            # a switch: --resume is --set execution.resume=true
+            p_run.add_argument(knob.option, action="store_const",
+                               const="true", help=knob.flag)
+        else:
+            p_run.add_argument(knob.option, help=knob.flag)
     _add_parser(sub, "list",
                 "valid scenario spec values (levels, workloads, ...)")
     _add_parser(sub, "table1", "Table I: simulated CPU configuration")
@@ -524,10 +449,20 @@ def main(argv=None):
     p_static.add_argument("--waived", action="store_true",
                           help="also print findings covered by the "
                                "inline waiver list")
-    args = parser.parse_args(argv)
-    from repro.errors import CampaignInterrupted, ExecutionError
+    return parser
+
+
+def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in PRESET_ALIASES:
+        argv.insert(0, "run")
+    args = build_parser().parse_args(argv)
+    from repro.errors import (
+        CampaignInterrupted,
+        ExecutionError,
+        ScenarioError,
+    )
     from repro.injection.store import StoreError
-    from repro.scenario.spec import ScenarioError
 
     try:
         if args.command == "run":

@@ -45,6 +45,18 @@ class ExecutionError(ValueError):
     """
 
 
+class ScenarioError(ValueError):
+    """A scenario spec problem, always naming the offending field."""
+
+    def __init__(self, field, problem, hint=None):
+        self.field = field
+        self.problem = problem
+        message = f"[{field}] {problem}"
+        if hint:
+            message += f" ({hint})"
+        super().__init__(message)
+
+
 class CampaignInterrupted(RuntimeError):
     """A campaign was stopped by SIGINT/SIGTERM after a graceful drain.
 

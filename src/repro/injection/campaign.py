@@ -268,7 +268,7 @@ class CampaignConfig:
             "distribution": self.distribution,
             "warm_start": self.warm_start,
             "prune": self.prune_mode,
-            "parallel": (self.jobs, self.batch_size, self.start_method),
+            "jobs": (self.jobs, self.batch_size, self.start_method),
             "lanes": self.batch_lanes,
             "retries": self.retries,
             "batch_timeout": self.batch_timeout,

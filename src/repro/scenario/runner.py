@@ -16,16 +16,19 @@ The runner owns everything a grid run can share:
   (or two grids overlapping on a cell) never repeats a campaign within
   one runner.
 
-Execution knobs (jobs/prune/store/resume) thread through untouched:
-per-cell stores live under ``execution.store`` with the historical
+Every knob reaches ``front.campaign`` through its knob-table row
+(:mod:`repro.scenario.knobs`), untouched but for two translations: the
+spec's window vocabulary, and per-cell stores, which live under
+``execution.store`` with the historical
 ``level-workload-structure-mode`` directory names (sweep coordinates
 appended), and ``resume`` works cell by cell.
 """
 
 import pathlib
 
+from repro.errors import ScenarioError
+from repro.scenario.knobs import KNOBS
 from repro.scenario.resultset import ResultSet
-from repro.scenario.spec import ScenarioError
 from repro.sim import registry as sim_registry
 from repro.sim.frontend import USE_SCALED_WINDOW
 
@@ -68,6 +71,20 @@ class ScenarioRunner:
             return None
         return pathlib.Path(self.spec.store) / cell.store_name()
 
+    def _campaign_kwargs(self, cell):
+        """The knob table's campaign hand-off: each row's value (the
+        cell's own where the cell carries one, else the spec's) under
+        its ``front.campaign`` keyword."""
+        fields = cell.__dataclass_fields__
+        kwargs = {
+            knob.param: getattr(cell if knob.key in fields else self.spec,
+                                knob.key)
+            for knob in KNOBS if knob.param
+        }
+        kwargs.update(window=self._window_argument(cell.window),
+                      store=self._cell_store(cell))
+        return kwargs
+
     # ------------------------------------------------------------------
 
     def run_cell(self, cell):
@@ -80,18 +97,9 @@ class ScenarioRunner:
             result = self._golden_only(front, cell)
         else:
             result = front.campaign(
-                cell.structure, mode=cell.mode, samples=cell.samples,
-                seed=cell.seed,
-                window=self._window_argument(cell.window),
-                distribution=cell.distribution,
-                jobs=cell.jobs, batch_size=cell.batch_size,
-                batch_lanes=cell.lanes,
-                retries=cell.retries, batch_timeout=cell.batch_timeout,
-                prune_mode=cell.prune, warm_start=cell.warm_start,
-                store=self._cell_store(cell), resume=self.spec.resume,
-                store_format=self.spec.store_format,
+                cell.structure, mode=cell.mode,
                 golden_pool=self._golden_pool,
-            )
+                **self._campaign_kwargs(cell))
         self._cell_cache[identity] = result
         return result
 

@@ -52,46 +52,23 @@ mode names, invalid values and conflicting sweep axes.
 """
 
 import dataclasses
-import difflib
 import itertools
 import json
-import os
 import pathlib
 import zlib
 
-from repro.prune import PRUNE_MODES
+from repro.errors import ScenarioError
+from repro.scenario.knobs import (
+    KNOB,
+    KNOBS,
+    SWEEPABLE,
+    default_samples,
+    describe_knobs,
+    parse_value,
+    suggest,
+)
 from repro.sim import registry as sim_registry
 from repro.workloads.registry import WORKLOAD_NAMES
-
-
-def default_samples():
-    """Sample count per cell when a spec leaves ``faults.samples`` unset.
-
-    The Leveugle-exact size is ~4000 (reported in every result); the
-    default here is wall-clock bounded and overridable with
-    ``REPRO_SFI_SAMPLES``.
-    """
-    return int(os.environ.get("REPRO_SFI_SAMPLES", "40"))
-
-
-class ScenarioError(ValueError):
-    """A scenario spec problem, always naming the offending field."""
-
-    def __init__(self, field, problem, hint=None):
-        self.field = field
-        self.problem = problem
-        message = f"[{field}] {problem}"
-        if hint:
-            message += f" ({hint})"
-        super().__init__(message)
-
-
-def _suggest(key, known):
-    close = difflib.get_close_matches(str(key), [str(k) for k in known],
-                                      n=1)
-    if close:
-        return f"did you mean {close[0]!r}?"
-    return f"valid: {', '.join(sorted(str(k) for k in known))}"
 
 
 def _check_keys(section, mapping, allowed):
@@ -101,7 +78,7 @@ def _check_keys(section, mapping, allowed):
     for key in mapping:
         if key not in allowed:
             raise ScenarioError(f"{section}.{key}", "unknown key",
-                                hint=_suggest(key, allowed))
+                                hint=suggest(key, allowed))
 
 
 def _string_tuple(field, value, *, allow_all=None):
@@ -117,64 +94,6 @@ def _string_tuple(field, value, *, allow_all=None):
     return tuple(value)
 
 
-def _int_field(field, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(field, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _bool_field(field, value):
-    if not isinstance(value, bool):
-        raise ScenarioError(field, f"must be true/false, got {value!r}")
-    return value
-
-
-def _window_field(field, value):
-    if value in ("scaled", "to-end"):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(
-            field, f"must be 'scaled', 'to-end' or a cycle count, "
-                   f"got {value!r}")
-    if value < 1:
-        raise ScenarioError(field, f"window cycles must be >= 1, "
-                                   f"got {value}")
-    return value
-
-
-def _jobs_field(field, value):
-    if isinstance(value, bool):
-        raise ScenarioError(field, f"must be a worker count or 'auto', "
-                                   f"got {value!r}")
-    if value in ("auto", 0, None):
-        return None
-    return _int_field(field, value, minimum=1)
-
-
-def _timeout_field(field, value):
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value <= 0:
-        raise ScenarioError(
-            field, f"must be a positive number of seconds, got {value!r}")
-    return value
-
-
-#: Sweepable knob axes (beyond the four target axes), with their
-#: per-value validators.
-_SCALAR_AXES = {
-    "prune": ("execution", "prune"),
-    "jobs": ("execution", "jobs"),
-    "warm_start": ("execution", "warm_start"),
-    "samples": ("faults", "samples"),
-    "seed": ("faults", "seed"),
-    "window": ("faults", "window"),
-    "distribution": ("faults", "distribution"),
-}
-
 #: Target axes: sweep name -> section key in [targets] / [[grid]].
 _TARGET_AXES = {
     "level": "levels",
@@ -183,35 +102,10 @@ _TARGET_AXES = {
     "mode": "modes",
 }
 
-SWEEP_AXES = tuple(_TARGET_AXES) + tuple(_SCALAR_AXES)
+SWEEP_AXES = tuple(_TARGET_AXES) + tuple(k.key for k in SWEEPABLE)
 
-_DISTRIBUTIONS = ("normal", "uniform")
-_SEED_POLICIES = ("shared", "per-cell")
-
-
-def _validate_axis_value(axis, value, field):
-    """Validate one swept value of a scalar axis."""
-    if axis == "prune":
-        if value not in PRUNE_MODES:
-            raise ScenarioError(field, f"unknown prune mode {value!r}",
-                                hint=_suggest(value, PRUNE_MODES))
-        return value
-    if axis == "distribution":
-        if value not in _DISTRIBUTIONS:
-            raise ScenarioError(field, f"unknown distribution {value!r}",
-                                hint=_suggest(value, _DISTRIBUTIONS))
-        return value
-    if axis == "window":
-        return _window_field(field, value)
-    if axis == "jobs":
-        return _jobs_field(field, value)
-    if axis == "warm_start":
-        return _bool_field(field, value)
-    if axis == "samples":
-        return _int_field(field, value, minimum=0)
-    if axis == "seed":
-        return _int_field(field, value)
-    raise AssertionError(axis)
+#: Knob sections of a spec mapping.
+_KNOB_SECTIONS = ("faults", "execution")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,7 +123,9 @@ class GridBlock:
 
 @dataclasses.dataclass(frozen=True)
 class CellSpec:
-    """One fully-resolved campaign of the expanded grid."""
+    """One fully-resolved campaign of the expanded grid: the four grid
+    coordinates plus the per-cell knob values (knob table rows of the
+    same name)."""
 
     index: int
     level: str
@@ -244,15 +140,9 @@ class CellSpec:
     jobs: object            # int | None (auto)
     batch_size: object
     warm_start: bool
-    #: Failed executions one fault may spend before quarantine
-    #: (``[execution] retries``; supervised executor).
-    retries: int = 2
-    #: Per-batch wall-clock budget in seconds (``None`` = derived from
-    #: the golden run's wall cost x hang_factor).
-    batch_timeout: object = None
-    #: Lane count for the faulty phase (lane-batchable tiers: arch
-    #: and rtl).
-    lanes: int = 1
+    retries: int
+    batch_timeout: object
+    lanes: int
     #: Sweep coordinates of this cell: ``(axis, value)`` pairs in the
     #: sweep's declaration order (empty without a sweep).
     axes: tuple = ()
@@ -292,12 +182,17 @@ class CellSpec:
 
     def identity(self):
         """The hashable cell identity the runner's result cache keys
-        on (everything result-affecting; ``index`` excluded so the same
-        cell reached through two grids shares one result)."""
-        return (self.level, self.workload, self.structure, self.mode,
-                self.samples, self.seed, self.window, self.distribution,
-                self.prune, self.jobs, self.batch_size, self.warm_start,
-                self.retries, self.batch_timeout, self.lanes)
+        on: every field but ``index`` (so the same cell reached through
+        two grids shares one result) and the sweep coordinates (already
+        folded into the field values)."""
+        return tuple(getattr(self, name) for name in _IDENTITY_FIELDS)
+
+
+_IDENTITY_FIELDS = tuple(f.name for f in dataclasses.fields(CellSpec)
+                         if f.name not in ("index", "axes"))
+
+#: Knobs every cell carries its own value of (``CellSpec`` fields).
+CELL_KNOBS = tuple(k for k in KNOBS if k.key in _IDENTITY_FIELDS)
 
 
 def _derive_seed(base_seed, cell_key):
@@ -312,46 +207,23 @@ class ScenarioSpec:
     _SECTION_KEYS = ("scenario", "targets", "grid", "faults", "sweep",
                      "execution", "present")
     _TARGET_KEYS = ("levels", "workloads", "structures", "modes")
-    _FAULT_KEYS = ("samples", "seed", "window", "distribution",
-                   "seed_policy")
-    _EXECUTION_KEYS = ("jobs", "batch_size", "lanes", "retries",
-                       "batch_timeout", "prune", "store",
-                       "store_format", "resume", "warm_start",
-                       "same_binaries")
 
     def __init__(self, *, name="scenario", title="", blocks=(),
-                 workloads=None, samples=None, seed=2017,
-                 window="scaled", distribution="normal",
-                 seed_policy="shared", jobs=1, batch_size=None, lanes=1,
-                 retries=2, batch_timeout=None,
-                 prune="dead", store=None, store_format=None,
-                 resume=False, warm_start=True,
-                 same_binaries=False, sweep=(), present=None,
-                 _explicit=frozenset()):
+                 workloads=None, sweep=(), present=None,
+                 _explicit=frozenset(), **knobs):
+        """``knobs`` are raw knob-table values by key (unset = the
+        table default); each is checked once, here."""
+        unknown = set(knobs) - set(KNOB)
+        if unknown:
+            raise TypeError(f"unknown scenario knobs {sorted(unknown)}")
         self.name = name
         self.title = title
         self.workloads = tuple(workloads) if workloads is not None \
             else WORKLOAD_NAMES
         self.blocks = tuple(blocks) or (GridBlock(),)
-        self.samples = samples
-        self.seed = seed
-        self.window = window
-        self.distribution = distribution
-        self.seed_policy = seed_policy
-        self.jobs = jobs
-        self.batch_size = batch_size
-        self.lanes = lanes
-        self.retries = retries
-        self.batch_timeout = batch_timeout
-        self.prune = prune
-        self.store = store
-        #: Record format for *fresh* stores: "binary" | "jsonl" | None
-        #: (None = binary for new stores, keep the existing format on
-        #: resume).
-        self.store_format = store_format
-        self.resume = resume
-        self.warm_start = warm_start
-        self.same_binaries = same_binaries
+        for knob in KNOBS:
+            setattr(self, knob.key, knob.check(
+                knob.field, knobs.get(knob.key, knob.default)))
         #: ``(axis, (values...))`` pairs in declaration order.
         self.sweep = tuple(sweep)
         self.present = dict(present or {})
@@ -374,20 +246,20 @@ class ScenarioSpec:
         _check_keys("scenario", meta, ("name", "title"))
         targets = data.get("targets", {})
         _check_keys("targets", targets, cls._TARGET_KEYS)
-        faults = data.get("faults", {})
-        _check_keys("faults", faults, cls._FAULT_KEYS)
-        execution = data.get("execution", {})
-        _check_keys("execution", execution, cls._EXECUTION_KEYS)
+        knobs = {}
+        for section in _KNOB_SECTIONS:
+            raw = data.get(section, {})
+            _check_keys(section, raw, [k.key for k in KNOBS
+                                       if k.section == section])
+            knobs.update(raw)
         raw_blocks = data.get("grid", [])
         if isinstance(raw_blocks, dict):
             raw_blocks = [raw_blocks]
         if not isinstance(raw_blocks, list):
             raise ScenarioError("grid", "must be an array of tables")
 
-        explicit = set()
-        for section, keys in (("targets", targets), ("faults", faults),
-                              ("execution", execution)):
-            explicit.update(f"{section}.{key}" for key in keys)
+        explicit = {f"targets.{key}" for key in targets}
+        explicit.update(KNOB[key].field for key in knobs)
 
         defaults = {
             "levels": _string_tuple(
@@ -438,51 +310,21 @@ class ScenarioSpec:
             if axis in _TARGET_AXES:
                 values = _string_tuple(field, list(values))
             else:
-                values = tuple(_validate_axis_value(axis, v, field)
-                               for v in values)
+                values = tuple(KNOB[axis].check(field, v) for v in values)
             if len(set(values)) != len(values):
                 raise ScenarioError(field, "repeats a value")
             sweep.append((axis, values))
 
-        samples = faults.get("samples")
-        if samples is not None:
-            samples = _int_field("faults.samples", samples, minimum=0)
-        spec = cls(
+        return cls(
             name=meta.get("name", "scenario"),
             title=meta.get("title", ""),
             blocks=blocks,
             workloads=defaults["workloads"],
-            samples=samples,
-            seed=_int_field("faults.seed", faults.get("seed", 2017)),
-            window=_window_field("faults.window",
-                                 faults.get("window", "scaled")),
-            distribution=faults.get("distribution", "normal"),
-            seed_policy=faults.get("seed_policy", "shared"),
-            jobs=_jobs_field("execution.jobs", execution.get("jobs", 1)),
-            batch_size=(None if execution.get("batch_size") is None else
-                        _int_field("execution.batch_size",
-                                   execution["batch_size"], minimum=1)),
-            lanes=_int_field("execution.lanes",
-                             execution.get("lanes", 1), minimum=1),
-            retries=_int_field("execution.retries",
-                               execution.get("retries", 2), minimum=1),
-            batch_timeout=_timeout_field("execution.batch_timeout",
-                                         execution.get("batch_timeout")),
-            prune=execution.get("prune", "dead"),
-            store=execution.get("store"),
-            store_format=execution.get("store_format"),
-            resume=_bool_field("execution.resume",
-                               execution.get("resume", False)),
-            warm_start=_bool_field("execution.warm_start",
-                                   execution.get("warm_start", True)),
-            same_binaries=_bool_field("execution.same_binaries",
-                                      execution.get("same_binaries",
-                                                    False)),
             sweep=sweep,
             present=data.get("present"),
             _explicit=explicit,
+            **knobs,
         )
-        return spec
 
     # ------------------------------------------------------------------
     # validation
@@ -492,35 +334,6 @@ class ScenarioSpec:
         if not isinstance(self.name, str) or not self.name:
             raise ScenarioError("scenario.name", "must be a non-empty "
                                                  "string")
-        if self.samples is not None:
-            _int_field("faults.samples", self.samples, minimum=0)
-        _int_field("faults.seed", self.seed)
-        _window_field("faults.window", self.window)
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ScenarioError(
-                "faults.distribution",
-                f"unknown distribution {self.distribution!r}",
-                hint=_suggest(self.distribution, _DISTRIBUTIONS))
-        if self.seed_policy not in _SEED_POLICIES:
-            raise ScenarioError(
-                "faults.seed_policy",
-                f"unknown policy {self.seed_policy!r}",
-                hint=_suggest(self.seed_policy, _SEED_POLICIES))
-        _int_field("execution.lanes", self.lanes, minimum=1)
-        _int_field("execution.retries", self.retries, minimum=1)
-        _timeout_field("execution.batch_timeout", self.batch_timeout)
-        if self.prune not in PRUNE_MODES:
-            raise ScenarioError("execution.prune",
-                                f"unknown prune mode {self.prune!r}",
-                                hint=_suggest(self.prune, PRUNE_MODES))
-        if self.store is not None and not isinstance(self.store, str):
-            raise ScenarioError("execution.store",
-                                "must be a directory path string")
-        if self.store_format not in (None, "binary", "jsonl"):
-            raise ScenarioError(
-                "execution.store_format",
-                f"unknown store format {self.store_format!r}",
-                hint=_suggest(self.store_format, ("binary", "jsonl")))
         if self.store_format is not None and self.store is None:
             raise ScenarioError("execution.store_format",
                                 "requires execution.store")
@@ -548,11 +361,11 @@ class ScenarioSpec:
                             f"conflicts with {where}",
                             hint="declare the axis in one place only")
             else:
-                section, key = _SCALAR_AXES[axis]
-                if f"{section}.{key}" in self._explicit:
+                where = KNOB[axis].field
+                if where in self._explicit:
                     raise ScenarioError(
                         f"sweep.{axis}",
-                        f"conflicts with {section}.{key}",
+                        f"conflicts with {where}",
                         hint="declare the axis in one place only")
 
     def _validate_targets(self):
@@ -564,14 +377,14 @@ class ScenarioSpec:
                 if level not in known_levels:
                     raise ScenarioError(
                         field, f"unknown abstraction level {level!r}",
-                        hint=_suggest(level, known_levels))
+                        hint=suggest(level, known_levels))
 
         def check_workloads(field, workloads):
             for workload in workloads:
                 if workload not in WORKLOAD_NAMES:
                     raise ScenarioError(
                         field, f"unknown workload {workload!r}",
-                        hint=_suggest(workload, WORKLOAD_NAMES))
+                        hint=suggest(workload, WORKLOAD_NAMES))
 
         check_levels("sweep.level", swept.get("level", ()))
         check_workloads("sweep.workload", swept.get("workload", ()))
@@ -637,7 +450,7 @@ class ScenarioSpec:
         if kind not in self._PRESENT_KINDS:
             raise ScenarioError(
                 "present.kind", f"unknown kind {kind!r}",
-                hint=_suggest(kind, self._PRESENT_KINDS))
+                hint=suggest(kind, self._PRESENT_KINDS))
         if kind == "table2":
             return
         if self.sweep:
@@ -768,17 +581,20 @@ class ScenarioSpec:
         modes = (coords["mode"],) if "mode" in coords else block.modes
         axes = tuple(coords.items())
         # Per-cell seeds must derive only from *result-affecting*
-        # coordinates: cells differing in execution-only axes (prune,
-        # jobs, warm_start) must draw identical fault samples, or the
-        # exactness/invariance contracts those sweeps exist to check
-        # would compare different workloads.
+        # coordinates -- the [faults] knobs: cells differing in
+        # execution-only axes (prune, jobs, warm_start) must draw
+        # identical fault samples, or the exactness/invariance
+        # contracts those sweeps exist to check would compare
+        # different workloads.
         seed_axes = tuple((k, v) for k, v in axes
-                          if k in ("samples", "seed", "window",
-                                   "distribution"))
+                          if k in KNOB and KNOB[k].section == "faults")
+        knobs = {knob.key: coords.get(knob.key, getattr(self, knob.key))
+                 for knob in CELL_KNOBS}
+        knobs["samples"] = coords.get("samples", samples)
         for workload in workloads:
             for structure in structures:
                 for mode in modes:
-                    seed = coords.get("seed", self.seed)
+                    seed = knobs["seed"]
                     if self.seed_policy == "per-cell":
                         seed = _derive_seed(
                             seed, f"{level}/{workload}/{structure}/"
@@ -786,28 +602,12 @@ class ScenarioSpec:
                     yield CellSpec(
                         index=-1, level=level, workload=workload,
                         structure=structure, mode=mode,
-                        samples=coords.get("samples", samples),
-                        seed=seed,
-                        window=coords.get("window", self.window),
-                        distribution=coords.get("distribution",
-                                                self.distribution),
-                        prune=coords.get("prune", self.prune),
-                        jobs=coords.get("jobs", self.jobs),
-                        batch_size=self.batch_size,
-                        warm_start=coords.get("warm_start",
-                                              self.warm_start),
-                        retries=self.retries,
-                        batch_timeout=self.batch_timeout,
-                        lanes=self.lanes,
-                        axes=axes,
-                    )
+                        **dict(knobs, seed=seed), axes=axes)
 
     # ------------------------------------------------------------------
 
     def describe(self):
         """One run-header line (shared knob table; printed by the CLI)."""
-        from repro.scenario.knobs import describe_knobs
-
         cells = self.cells()
         head = (f"scenario {self.name}: {len(cells)} cells x "
                 f"{self.resolved_samples()} faults")
@@ -815,26 +615,15 @@ class ScenarioSpec:
             axes = " x ".join(f"{axis}[{len(values)}]"
                               for axis, values in self.sweep)
             head += f", sweep {axes}"
-        window = self.window
-        if window == "scaled":
+        values = {knob.key: getattr(self, knob.key) for knob in KNOBS}
+        if self.window == "scaled":
             from repro.injection.campaign import SCALED_WINDOW
 
-            window = SCALED_WINDOW
-        elif window == "to-end":
-            window = None
-        return describe_knobs(head, {
-            "window": window,
-            "distribution": self.distribution,
-            "seed": self.seed,
-            "warm_start": self.warm_start,
-            "prune": self.prune,
-            "parallel": (self.jobs, self.batch_size, None),
-            "lanes": self.lanes,
-            "retries": self.retries,
-            "batch_timeout": self.batch_timeout,
-            "store": self.store,
-            "resume": self.resume,
-        })
+            values["window"] = SCALED_WINDOW
+        elif self.window == "to-end":
+            values["window"] = None
+        values["jobs"] = (self.jobs, self.batch_size, None)
+        return describe_knobs(head, values)
 
     def __repr__(self):
         return (f"ScenarioSpec({self.name!r}, blocks={len(self.blocks)},"
@@ -844,23 +633,6 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # loading and overrides
 # ----------------------------------------------------------------------
-
-def _parse_override_value(text):
-    """Parse one ``--set`` value: TOML scalar/array syntax when it
-    parses, else a bare string; top-level commas split into a list."""
-    import tomllib
-
-    def scalar(fragment):
-        try:
-            return tomllib.loads(f"v = {fragment}")["v"]
-        except tomllib.TOMLDecodeError:
-            return fragment
-
-    if "," in text and not text.startswith("["):
-        return [scalar(part.strip()) for part in text.split(",")]
-    value = scalar(text)
-    return value
-
 
 def parse_overrides(pairs):
     """``["faults.samples=10", ...]`` -> nested mapping updates.
@@ -885,7 +657,7 @@ def parse_overrides(pairs):
             raise ScenarioError(
                 f"--set {key.strip()}",
                 "expected a dotted path like faults.samples")
-        updates.append((path, _parse_override_value(value)))
+        updates.append((path, parse_value(value)))
     return updates
 
 

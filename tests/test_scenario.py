@@ -1,6 +1,7 @@
 """The declarative scenario layer: schema validation, sweep expansion,
 ResultSet queries, golden sharing, preset equivalence and the CLI."""
 
+import argparse
 import dataclasses
 import inspect
 
@@ -14,6 +15,7 @@ from repro.scenario import (
     load_preset,
     preset_names,
 )
+from repro.scenario.knobs import KNOB, KNOBS, RUN_FLAGS
 from repro.scenario.spec import apply_overrides
 
 
@@ -209,6 +211,75 @@ def test_store_paths_are_never_toml_coerced():
     apply_overrides(mapping, _run_flag_overrides(Args()))
     spec = ScenarioSpec.from_mapping(mapping)
     assert spec.store == "2024"
+
+
+#: Each run flag's knob -> (a valid value, an invalid one); ``None``
+#: marks a switch (no value) or a flag without an invalid value.
+_FLAG_VALUES = {
+    "jobs": ("auto", "many"),
+    "lanes": ("4", "0"),
+    "prune": ("static", "sometimes"),
+    "retries": ("3", "0"),
+    "store": ("runs/y", None),
+    "store_format": ("jsonl", "xml"),
+    "resume": (None, None),
+}
+
+
+def _run_spec(tmp_path, *argv):
+    """The spec ``repro-study run BASE ARGV`` would run."""
+    from repro.cli import _load_run_spec, build_parser
+
+    base = tmp_path / "base.toml"
+    base.write_text('[targets]\nlevels = ["arch"]\n'
+                    'workloads = ["stringsearch"]\n'
+                    '[faults]\nsamples = 2\n'
+                    '[execution]\nstore = "runs/x"\n')
+    return _load_run_spec(build_parser().parse_args(
+        ["run", str(base), *argv]))
+
+
+def _knob_values(spec):
+    return {knob.key: getattr(spec, knob.key) for knob in KNOBS}
+
+
+@pytest.mark.parametrize("key", [knob.key for knob in RUN_FLAGS])
+def test_run_flag_is_an_exact_set_alias(tmp_path, key):
+    knob = KNOB[key]
+    good, bad = _FLAG_VALUES[key]
+    flag = [knob.option] if good is None else [knob.option, good]
+    by_flag = _run_spec(tmp_path, *flag)
+    by_set = _run_spec(tmp_path, "--set",
+                       f"{knob.field}={'true' if good is None else good}")
+    assert _knob_values(by_flag) == _knob_values(by_set)
+    assert by_flag.cells() == by_set.cells()
+    assert by_flag.describe() == by_set.describe()
+    assert _knob_values(by_flag) != _knob_values(_run_spec(tmp_path))
+    if bad is not None:
+        for argv in ([knob.option, bad], ["--set", f"{knob.field}={bad}"]):
+            with pytest.raises(ScenarioError) as err:
+                _run_spec(tmp_path, *argv)
+            assert err.value.field == knob.field
+
+
+@pytest.mark.parametrize("text", ["abc", "-3"])
+def test_samples_env_is_checked_like_faults_samples(monkeypatch, text):
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_SFI_SAMPLES", text)
+    with pytest.raises(ScenarioError) as err:
+        make_spec(faults={}).cells()
+    assert err.value.field == "REPRO_SFI_SAMPLES"
+    # The CLI reports it as a one-line spec error, before any run.
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "fig1"])
+    assert str(exit_.value.code).startswith(
+        "repro-study: [REPRO_SFI_SAMPLES]")
+
+
+def test_samples_env_sets_the_default_budget(monkeypatch):
+    monkeypatch.setenv("REPRO_SFI_SAMPLES", "7")
+    assert {cell.samples for cell in make_spec(faults={}).cells()} == {7}
 
 
 def test_single_value_sweep_override():
@@ -531,37 +602,57 @@ def test_fig1_preset_equivalent_to_legacy_path(jobs, capsys):
 
 
 # ----------------------------------------------------------------------
-# describe drift guard: one shared knob table
+# drift guard: one knob table (repro.scenario.knobs)
 # ----------------------------------------------------------------------
 
-def test_every_config_knob_is_in_the_header_table():
+def _spec_reference_fields():
+    """``section.key`` of every knob row in DESIGN.md's spec reference
+    table (a row with an empty section column continues the previous
+    section)."""
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).parents[1] / "DESIGN.md").read_text()
+    table = text.split("### Spec reference", 1)[1].split("\n\n", 2)[1]
+    fields, section = set(), None
+    for row in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        section = re.findall(r"\[(\w+)\]", cells[0])[0] if cells[0] \
+            else section
+        fields.update(f"{section}.{key}"
+                      for key in re.findall(r"`(\w+)`", cells[1]))
+    return fields
+
+
+def test_knob_table_drift_guard():
+    from repro.cli import build_parser
     from repro.injection.campaign import CampaignConfig
-    from repro.scenario.knobs import (
-        CAMPAIGN_HEADER_EXCLUDED,
-        KNOB_ORDER,
-        PARAM_ALIASES,
-    )
+    from repro.scenario.knobs import CAMPAIGN_ONLY
+    from repro.sim.frontend import Frontend
 
-    def check(config_cls, excluded, head_params):
-        params = set(inspect.signature(config_cls.__init__).parameters)
-        params -= {"self"} | set(head_params) | set(excluded)
-        missing = {p for p in params
-                   if PARAM_ALIASES.get(p, p) not in KNOB_ORDER}
-        assert not missing, (
-            f"{config_cls.__name__} knobs absent from the shared "
-            f"header table (repro.scenario.knobs): {sorted(missing)}"
-        )
-
-    check(CampaignConfig, CAMPAIGN_HEADER_EXCLUDED, {"samples"})
-    # A spec's header head counts its cells (from the grid and sweep
-    # shape) and samples; metadata, the presentation block, the
-    # fresh-store format and the same_binaries ablation switch stay out
-    # of the fragments.
-    check(ScenarioSpec,
-          {"name", "title", "blocks", "workloads", "seed_policy",
-           "store_format", "same_binaries", "sweep", "present",
-           "_explicit"},
-          {"samples"})
+    config = set(inspect.signature(CampaignConfig.__init__).parameters)
+    config.discard("self")
+    store = {"store", "resume", "store_format"}
+    assert store <= set(inspect.signature(Frontend.campaign).parameters)
+    fed = {knob.param for knob in KNOBS if knob.param}
+    # Every row feeds a real CampaignConfig parameter (or the
+    # campaign's store keywords) ...
+    assert fed <= config | store, sorted(fed - config - store)
+    # ... and every CampaignConfig parameter is fed by a row or is
+    # deliberately campaign-only.
+    assert config - fed == CAMPAIGN_ONLY, sorted(config - fed
+                                                 ^ CAMPAIGN_ONLY)
+    # The run flags are exactly the rows that carry one.
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in sub.choices["run"]._actions
+               for option in action.option_strings}
+    assert options - {"-h", "--help", "--set", "--csv"} == \
+        {knob.option for knob in KNOBS if knob.flag}
+    # DESIGN.md documents every knob.
+    missing = {knob.field for knob in KNOBS} - _spec_reference_fields()
+    assert not missing, f"absent from DESIGN.md's spec reference: " \
+                        f"{sorted(missing)}"
 
 
 def test_describe_headers_agree_on_shared_knobs():
