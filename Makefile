@@ -9,7 +9,8 @@ help:
 	@echo "targets:"
 	@echo "  test        tier-1 suite (tests/ + benchmarks/, what CI gates on)"
 	@echo "  bench       artifact-regenerating benches only (-> benchmarks/results/)"
-	@echo "  bench-smoke fig1 store+resume round trip, prune off/dead classification"
+	@echo "  bench-smoke fig1 store+resume round trip, jobs 1 vs 2 (one reused"
+	@echo "              pool) per-cell class diff, prune off/dead classification"
 	@echo "              diff, prune static (capture-free dataflow pruning,"
 	@echo "              REPRO_STATIC_XCHECK sanitizer on) vs off class diffs"
 	@echo "              at all three tiers, sweep-scenario store+resume round"
@@ -54,7 +55,10 @@ bench:
 # The resumable-campaign smoke: the same `run fig1` command twice -- the
 # first populates a fresh store (a --resume of an empty store is a fresh
 # start), the second resumes it and must re-run nothing -- then the
-# store summary.  The static legs re-run fig1's cells (and, below, the
+# store summary.  The jobs leg re-runs the same cells at --jobs 1 and
+# diffs every cell's classes against the --jobs 2 store, whose cells
+# all ran on one reused worker pool: cross-jobs exactness with golden
+# payloads shipped once per worker.  The static legs re-run fig1's cells (and, below, the
 # sweep's arch cell) with prune=static -- capture-free dataflow
 # pruning, sanitizer cross-check live -- and diff classes against the
 # prune=off stores: the static exactness contract at all three tiers.  The sweep-smoke scenario (2 levels x 2 prune modes)
@@ -94,6 +98,15 @@ bench-smoke:
 	  --jobs 2 --store benchmarks/results/smoke_store --resume
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli store \
 	  benchmarks/results/smoke_store/*
+	rm -rf benchmarks/results/smoke_jobs1
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --jobs 1 --store benchmarks/results/smoke_jobs1
+	for cell in benchmarks/results/smoke_store/*; do \
+	  $(PYTHON) tools/diff_store_classes.py \
+	    benchmarks/results/smoke_jobs1/$$(basename $$cell) $$cell \
+	    || exit 1; \
+	done
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
 	  --set targets.workloads=stringsearch --set faults.samples=20 \
 	  --jobs 2 --prune off \

@@ -968,7 +968,7 @@ class Campaign:
         )
 
     def run(self, progress=None, store=None, resume=False,
-            golden_pool=None):
+            golden_pool=None, worker_pool=None):
         """Execute the campaign.  Returns a :class:`CampaignResult`.
 
         Six phases, identical at every level (DESIGN.md, "Campaign
@@ -984,7 +984,11 @@ class Campaign:
         the sample list is a pure function of the stored identity).
         ``progress`` then counts only the faults actually simulated this
         session.  ``golden_pool`` shares golden captures across
-        campaigns (see :meth:`_adopt_or_capture_golden`).
+        campaigns (see :meth:`_adopt_or_capture_golden`);
+        ``worker_pool`` (a :class:`~repro.injection.supervisor
+        .WorkerSupervisor` the caller owns and closes) shares worker
+        processes and the goldens shipped to them (see
+        :meth:`_execute`).
         """
         from repro.injection import supervisor
 
@@ -1013,7 +1017,7 @@ class Campaign:
                             if i not in pruned and i not in on_disk]
                     records, incidents = self._execute(
                         sim, golden, todo, result, store, progress,
-                        shutdown.requested, chaos)
+                        shutdown.requested, chaos, worker_pool)
                     # The store stays authoritative for what it holds.
                     self._merge(result, len(specs),
                                 {**pruned, **records, **stored},
@@ -1069,12 +1073,13 @@ class Campaign:
         return pruned
 
     def _execute(self, sim, golden, items, result, store, progress, stop,
-                 chaos):
+                 chaos, pool):
         """Phase 5: simulate ``items`` (``(fault_index, spec)`` pairs)
         through :func:`repro.injection.executor.run_parallel`, which
         stays in-process on ``sim`` at ``jobs=1`` or for a single
-        shard.  Returns ``(records, incidents)``, both keyed by fault
-        index.
+        shard, and otherwise runs on ``pool`` (or a one-shot pool when
+        ``None``).  Returns ``(records, incidents)``, both keyed by
+        fault index.
 
         Failure model (see DESIGN.md, "Failure model & recovery
         semantics"): a fault that keeps killing, stalling or crashing
@@ -1109,7 +1114,7 @@ class Campaign:
                 # here and fall straight to the floor).
                 fault_timeout_hint=(result.golden_seconds
                                     * cfg.hang_factor * 4),
-                chaos=chaos,
+                chaos=chaos, pool=pool,
             )
         result.batch_cycles = runner.batch_cycles
         result.batch_lane_peak_bytes = runner.batch_lane_peak_bytes

@@ -14,10 +14,14 @@ injection.  This module owns everything about those restart points:
   stay in memory (and therefore how much the parallel executor
   serializes per worker).  Eviction is LRU over restore traffic; the
   base checkpoint is pinned so every cycle stays reachable;
+* **waypoints** -- on pipelined backends the golden run also keeps an
+  undrained in-flight snapshot every quarter stride between two
+  boundaries, evicted together with the boundary it follows;
 * **seek** -- :meth:`seek` positions a simulator at the best retained
-  restart point at or before a target cycle (``warm``) or at the base
-  checkpoint (``cold``), then replays the *drain-punctuated* golden
-  trajectory through any evicted boundaries.
+  restart point at or before a target cycle (``warm``: a waypoint of
+  the target segment, else a checkpoint) or at the base checkpoint
+  (``cold``), then replays the *drain-punctuated* golden trajectory
+  through any evicted boundaries.
 
 The replay detail is the correctness core: the golden run drains at
 every boundary (that is how checkpoints are captured), so the golden
@@ -73,6 +77,11 @@ class CheckpointCache:
         self.pinout_lens = []
         #: Retained checkpoint payloads, index -> checkpoint dict.
         self._entries = {}
+        #: In-flight golden snapshots between boundaries (pipelined
+        #: backends only), index of the boundary they follow -> list of
+        #: :meth:`~repro.sim.base.SimulatorBase.waypoint` dicts in cycle
+        #: order.  Resident and evicted together with that boundary.
+        self._waypoints = {}
         #: Resident indices, least-recently-used first (index 0 pinned).
         self._lru = []
 
@@ -112,13 +121,23 @@ class CheckpointCache:
         attached to its internals (the L1D acceleration access log) are
         lost at every boundary; ``on_restore(sim)``, when given, is
         called after each round trip to re-attach them.
+
+        On pipelined backends (not ``DRAIN_FREE``) the run also pauses
+        every :attr:`waypoint_spacing` cycles between two boundaries
+        and keeps an in-flight snapshot of the undrained machine there
+        (:meth:`seek` resumes from the last one at or before a fault).
         """
         cp = self.capture(sim)
         sim.restore(cp)
         if on_restore is not None:
             on_restore(sim)
+        spacing = 0 if type(sim).DRAIN_FREE else self.waypoint_spacing
         while True:
             stop = sim.cycle + self.stride
+            if spacing:
+                status = self._capture_waypoints(sim, cp, stop, spacing)
+                if status is not RunStatus.STOPPED:
+                    return status
             status, cp = sim.checkpoint_at(stop)
             if cp is None:
                 return status
@@ -128,6 +147,27 @@ class CheckpointCache:
                 on_restore(sim)
             if sim.exited or sim.fault is not None:
                 return status
+
+    @property
+    def waypoint_spacing(self):
+        """Cycles between in-flight waypoints: a quarter stride."""
+        return self.stride // 4
+
+    def _capture_waypoints(self, sim, base, stop, spacing):
+        """Run the golden segment that follows boundary checkpoint
+        ``base`` up to (not including) ``stop``, snapshotting every
+        ``spacing`` cycles.  Returns the last run status."""
+        index = len(self.cycles) - 1
+        waypoints = []
+        status = RunStatus.STOPPED
+        for at in range(sim.cycle + spacing, stop, spacing):
+            status = sim.run(stop_cycle=at)
+            if status is not RunStatus.STOPPED:
+                break
+            waypoints.append(sim.waypoint(base))
+        if waypoints and index in self._entries:
+            self._waypoints[index] = waypoints
+        return status
 
     def _retain(self, cp, stop_cycle, sim):
         index = len(self.cycles)
@@ -152,6 +192,7 @@ class CheckpointCache:
             victim = next(i for i in self._lru if i != 0)
             self._lru.remove(victim)
             del self._entries[victim]
+            self._waypoints.pop(victim, None)
 
     def drop_access_traces(self):
         """Strip lifetime-trace snapshots from the retained checkpoints.
@@ -204,23 +245,42 @@ class CheckpointCache:
     def entry(self, index):
         return self._entries[index]
 
+    def waypoint_at_or_before(self, index, cycle):
+        """The last retained waypoint of boundary ``index``'s segment at
+        or before ``cycle``, or None."""
+        waypoints = self._waypoints.get(index, ())
+        k = bisect.bisect_right([w["cycle"] for w in waypoints], cycle)
+        return waypoints[k - 1] if k else None
+
     def seek(self, sim, cycle, warm=True, max_cycles=5_000_000):
-        """Position ``sim`` exactly where the golden run stood when it
-        was about to execute past the last boundary at or before
-        ``cycle``, then leave the final advance (to the injection
-        instant) to the caller.
+        """Position ``sim`` on the golden trajectory so that running it
+        to ``cycle`` reaches the pre-injection state, and leave that
+        final advance to the caller: at the last boundary at or before
+        ``cycle`` or, warm and with that boundary resident, at the last
+        in-flight waypoint of its segment at or before ``cycle``.
 
         Returns ``(trace_base, restore_cycle)``: the pinout length at
         the target boundary (the classification comparison base) and
-        the cycle of the restored checkpoint, from which the caller
+        the cycle the machine was put at, from which the caller
         computes the replayed-cycle accounting.
 
         ``warm=False`` restores the base checkpoint and replays the full
-        drain-punctuated prefix -- the cold-start baseline.  Both paths
-        produce bit-identical machine states by construction.
+        drain-punctuated prefix -- the cold-start baseline.  All paths
+        produce bit-identical machine states at ``cycle`` by
+        construction.
         """
         target = self.boundary_at_or_before(cycle)
         start = self.nearest_resident(cycle) if warm else 0
+        if warm and start == target:
+            # The golden segment after a boundary is exactly
+            # ``restore(cp[target])`` then run, and a waypoint is that
+            # run paused: resuming it and running on is the same
+            # trajectory, drain window included (waypoints precede the
+            # next boundary's stop cycle, and a plain run never drains).
+            waypoint = self.waypoint_at_or_before(target, cycle)
+            if waypoint is not None:
+                sim.resume_waypoint(self._entries[target], waypoint)
+                return self.pinout_lens[target], waypoint["cycle"]
         sim.restore(self._entries[start])
         restore_cycle = sim.cycle
         for k in range(start + 1, target + 1):

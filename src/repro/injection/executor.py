@@ -6,13 +6,14 @@ compares against read-only golden data.  This module shards the sampled
 faults into contiguous batches and fans them out over the supervised
 worker set of :mod:`repro.injection.supervisor`:
 
-* the golden payload (trace keys, output, checkpoints) and the
-  simulator factory are **serialized once** and shipped to each worker
-  at spawn -- workers never recompute the golden run;
-* each worker builds one simulator and reuses it across all its
-  batches, exactly like the serial loop reuses one simulator across
-  faults (``restore`` rebuilds the machine, so no state leaks between
-  runs);
+* the golden payload (trace keys, output, checkpoints and waypoints)
+  and the simulator factory are shipped to a worker **once** per
+  golden run, not per campaign -- workers never recompute the golden
+  run, and one pool can serve a whole scenario run;
+* each worker builds one simulator per golden and reuses it across
+  all its batches, exactly like the serial loop reuses one simulator
+  across faults (``restore`` rebuilds the machine, so no state leaks
+  between runs);
 * batches complete in any order, but records are merged back by fault
   index, so the resulting sequence -- classes, details, cycle counts --
   is identical to what ``jobs=1`` produces for the same seed.  Only the
@@ -25,12 +26,14 @@ worker set of :mod:`repro.injection.supervisor`:
   model & recovery semantics").
 
 The worker start method defaults to ``fork`` on Linux (cheapest: the
-~100s-of-kB payload still transfers explicitly, but the interpreter
-and imports come for free) and to ``spawn`` elsewhere.  Both are
-supported; ``REPRO_MP_START`` or ``CampaignConfig(start_method=...)``
-override the choice.
+golden payload -- 0.9-2.6 MB per fig1 golden run, mostly the RAM
+images of its boundary checkpoints -- still transfers explicitly, but
+the interpreter and imports come for free) and to ``spawn``
+elsewhere.  Both are supported; ``REPRO_MP_START`` or
+``CampaignConfig(start_method=...)`` override the choice.
 """
 
+import contextlib
 import math
 import os
 
@@ -74,7 +77,7 @@ def run_parallel(sim_factory, runner, items, jobs, batch_size=None,
                  start_method=None, progress=None, fallback_sim=None,
                  on_record=None, on_incident=None, stop=None,
                  retries=DEFAULT_RETRIES, batch_timeout=None,
-                 fault_timeout_hint=None, chaos=None):
+                 fault_timeout_hint=None, chaos=None, pool=None):
     """Execute ``items`` (``(fault_index, spec)`` pairs) on up to
     ``jobs`` supervised workers.
 
@@ -99,7 +102,10 @@ def run_parallel(sim_factory, runner, items, jobs, batch_size=None,
     campaign-store append hook -- called exactly once per classified
     fault, in completion order.  ``fallback_sim``, if given, serves the
     in-process case (``jobs=1`` or a single batch) instead of building
-    a fresh simulator.
+    a fresh simulator.  ``pool`` is a caller-owned
+    :class:`~repro.injection.supervisor.WorkerSupervisor` kept across
+    campaigns (its start method wins over ``start_method``); without
+    one, a one-shot pool is opened and closed around this call.
     """
     specs = [spec for _, spec in items]
     batches = shard(specs, jobs, batch_size)
@@ -122,18 +128,13 @@ def run_parallel(sim_factory, runner, items, jobs, batch_size=None,
             for k, spec in enumerate(faults)
         ])
         offset += len(faults)
-    pool = supervisor.WorkerSupervisor(
-        sim_factory, runner, jobs, start_method=start_method,
-        retries=retries, batch_timeout=batch_timeout,
-        fault_timeout_hint=fault_timeout_hint, chaos=chaos,
-    )
-    records, incidents, requeued, drained = pool.run(
-        entry_batches, progress=progress, on_record=on_record,
-        on_incident=on_incident, stop=stop,
-    )
-    # Lane-engine accounting flows back from the workers (the old pool
-    # dropped it for jobs>1).
-    runner.batch_cycles += pool.batch_cycles
-    runner.batch_lane_peak_bytes = max(runner.batch_lane_peak_bytes,
-                                       pool.batch_lane_peak_bytes)
+    with (supervisor.WorkerSupervisor(start_method) if pool is None
+          else contextlib.nullcontext(pool)) as workers:
+        records, incidents, requeued, drained = workers.run(
+            sim_factory, runner, entry_batches, jobs, retries=retries,
+            batch_timeout=batch_timeout,
+            fault_timeout_hint=fault_timeout_hint, chaos=chaos,
+            progress=progress, on_record=on_record,
+            on_incident=on_incident, stop=stop,
+        )
     return records, incidents, requeued, drained, jobs

@@ -6,10 +6,16 @@ and Ctrl-C left the campaign store wherever the last flush happened to
 land.  This module replaces the pool with an explicitly supervised
 worker set:
 
-* **crash detection** -- each worker is a plain ``Process`` fed over
-  its own task queue; the supervisor polls liveness, respawns dead
-  workers and re-shards their in-flight batch (with capped exponential
-  backoff) instead of deadlocking on a result that will never come;
+* **crash detection** -- each worker is a plain ``Process`` with its
+  own task and result pipes; the supervisor polls liveness, respawns
+  dead workers and re-shards their in-flight batch (with capped
+  exponential backoff) instead of deadlocking on a result that will
+  never come;
+* **lifetime** -- one :class:`WorkerSupervisor` outlives the campaigns
+  it serves (a scenario run opens one): workers are spawned lazily and
+  reused, each golden payload is shipped once per (worker, golden run)
+  and re-shipped to a respawned worker, and :meth:`WorkerSupervisor
+  .close` leaves no process behind;
 * **deadlines** -- every batch gets a wall-clock budget (explicit
   ``batch_timeout`` or derived from the golden run's wall cost x
   ``hang_factor``); an expired batch's worker is killed and the batch
@@ -38,15 +44,15 @@ an execution-only knob (excluded from the store identity) and inert in
 production.
 """
 
+import copy
 import difflib
 import multiprocessing
 import os
-import pickle
-import queue
 import signal
 import sys
 import threading
 import time
+from multiprocessing import connection
 
 from repro.errors import ExecutionError
 from repro.injection.classify import Incident
@@ -295,14 +301,25 @@ class GracefulShutdown:
 # worker side
 # ----------------------------------------------------------------------
 
-def _worker_main(payload, task_q, result_q, worker_id):
-    """One supervised worker: build a sim once, serve batches forever.
+def _worker_main(tasks, results):
+    """One supervised worker: hold goldens, serve batches until told to
+    stop (or until the supervisor's end of ``tasks`` closes).
 
-    Tasks are ``(batch_id, [(fault_index, spec, attempt), ...])``;
-    ``None`` is the shutdown sentinel.  Results are ``("done", ...)``
-    or ``("error", ...)`` -- a worker survives an in-run exception and
-    keeps serving (the supervisor decides about retries), so only
-    process death or a deadline kill costs a respawn.
+    Tasks arrive on the ``tasks`` pipe:
+
+    * ``("golden", token, sim_factory, golden)`` -- a golden payload
+      (the read-only golden data a :class:`~repro.injection.campaign
+      .FaultRunner` needs); the worker builds one simulator for it and
+      keeps both until ``("forget", token)``;
+    * ``("batch", batch_id, token, runner, chaos, entries)`` -- run
+      ``entries`` (``(fault_index, spec, attempt)``) against golden
+      ``token`` with the cell's golden-less runner and chaos spec;
+    * ``None`` -- shut down.
+
+    Results go back on the worker's own ``results`` pipe as
+    ``("done", ...)`` or ``("error", ...)`` -- a worker survives an
+    in-run exception and keeps serving (the supervisor decides about
+    retries), so only process death or a deadline kill costs a respawn.
     """
     # The parent broadcasts SIGINT to the group on Ctrl-C; workers must
     # outlive it so the drain can finish.  SIGTERM keeps its default
@@ -311,15 +328,26 @@ def _worker_main(payload, task_q, result_q, worker_id):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover
         pass
-    sim_factory, runner, chaos = pickle.loads(payload)
-    sim = sim_factory()
+    goldens = {}
     while True:
-        task = task_q.get()
+        try:
+            task = tasks.recv()
+        except EOFError:
+            return
         if task is None:
             return
-        batch_id, entries = task
-        base_cycles = runner.batch_cycles
+        kind = task[0]
+        if kind == "golden":
+            _, token, sim_factory, golden = task
+            goldens[token] = (sim_factory(), golden)
+            continue
+        if kind == "forget":
+            goldens.pop(task[1], None)
+            continue
+        _, batch_id, token, runner, chaos, entries = task
         try:
+            sim, runner.golden = goldens[token]
+            base_cycles = runner.batch_cycles
             if chaos is None:
                 records = runner.run_many(sim,
                                           [spec for _, spec, _ in entries])
@@ -331,16 +359,12 @@ def _worker_main(payload, task_q, result_q, worker_id):
                 for index, spec, attempt in entries:
                     chaos.fire(index, attempt)
                     records.append(runner.run_one(sim, spec))
-            result_q.put((
-                "done", worker_id, batch_id, records,
-                runner.batch_cycles - base_cycles,
-                runner.batch_lane_peak_bytes,
-            ))
+            message = ("done", batch_id, records,
+                       runner.batch_cycles - base_cycles,
+                       runner.batch_lane_peak_bytes)
         except Exception as exc:
-            result_q.put((
-                "error", worker_id, batch_id,
-                f"{type(exc).__name__}: {exc}",
-            ))
+            message = ("error", batch_id, f"{type(exc).__name__}: {exc}")
+        results.send(message)
 
 
 # ----------------------------------------------------------------------
@@ -364,70 +388,97 @@ class _Batch:
 
 
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process and its two pipes."""
 
-    __slots__ = ("id", "proc", "task_q")
+    __slots__ = ("id", "proc", "tasks", "results", "goldens")
 
-    def __init__(self, worker_id, proc, task_q):
+    def __init__(self, worker_id, proc, tasks, results):
         self.id = worker_id
         self.proc = proc
-        self.task_q = task_q
+        self.tasks = tasks
+        self.results = results
+        #: Golden tokens shipped to this process since it was spawned.
+        self.goldens = set()
+
+
+def _golden_token(golden):
+    """The pool's name for a golden payload: the identity of its
+    checkpoint cache, which every campaign sharing the golden run
+    shares (the pool pins the cache while the token lives)."""
+    return id(golden["cache"])
 
 
 class WorkerSupervisor:
-    """Drives up to ``jobs`` worker processes over explicit queues.
+    """A supervised pool of worker processes that outlives campaigns.
+
+    One pool serves every campaign of a scenario run
+    (:class:`~repro.scenario.runner.ScenarioRunner` opens it, a lone
+    campaign opens a one-shot one): workers are spawned lazily, up to
+    the ``jobs`` a campaign asks for, and closed by :meth:`close`.  A
+    golden payload is shipped once per (worker, golden run); a
+    campaign's batches carry only its small per-cell runner config.  A
+    respawned worker starts empty and is re-shipped what it needs.
 
     Unlike ``multiprocessing.Pool``, every batch is tracked from
     dispatch to completion: a worker that dies or overruns its deadline
-    is respawned and its batch re-sharded, so ``jobs=N`` can never
-    deadlock waiting on a result that no process will produce.
+    is respawned and its batch re-sharded, so a campaign can never
+    deadlock waiting on a result that no process will produce.  Each
+    worker has its own task and result pipes, so a killed worker can
+    never wedge a lock the others need.
     """
 
-    def __init__(self, sim_factory, runner, jobs, start_method=None,
-                 retries=DEFAULT_RETRIES, batch_timeout=None,
-                 fault_timeout_hint=None, chaos=None):
-        self.sim_factory = sim_factory
-        self.runner = runner
-        self.jobs = max(1, jobs)
-        self.retries = max(1, retries or DEFAULT_RETRIES)
-        #: Explicit per-batch wall-clock budget; ``None`` derives one
-        #: from ``fault_timeout_hint`` (seconds per fault, already
-        #: scaled by ``hang_factor`` -- see ``Campaign.run``).
-        self.batch_timeout = batch_timeout
-        self.fault_timeout_hint = fault_timeout_hint or 0.0
-        self.chaos = chaos
-        self._ctx = multiprocessing.get_context(
-            resolve_start_method(start_method))
-        #: Lane-engine accounting aggregated from worker reports (the
-        #: old pool simply lost these for ``jobs>1``).
-        self.batch_cycles = 0
-        self.batch_lane_peak_bytes = 0
+    def __init__(self, start_method=None):
+        self.start_method = start_method
+        self._ctx = None
+        self._workers = {}
+        #: token -> ``(sim_factory, golden)`` a worker may need shipped
+        #: (holding the golden pins the token's checkpoint cache).
+        self._goldens = {}
         self._next_batch_id = 0
         self._next_worker_id = 0
 
-    # -- helpers -------------------------------------------------------
+    def __enter__(self):
+        return self
 
-    def _make_batch(self, entries, not_before=0.0):
-        self._next_batch_id += 1
-        return _Batch(self._next_batch_id, entries, not_before)
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
-    def _spawn(self, payload, result_q):
+    # -- workers -------------------------------------------------------
+
+    def _spawn(self):
+        if self._ctx is None:
+            self._ctx = multiprocessing.get_context(
+                resolve_start_method(self.start_method))
         self._next_worker_id += 1
-        task_q = self._ctx.SimpleQueue()
+        task_r, tasks = self._ctx.Pipe(duplex=False)
+        results, result_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(payload, task_q, result_q, self._next_worker_id),
+            args=(task_r, result_w),
             name=f"repro-worker-{self._next_worker_id}",
             daemon=True,
         )
         proc.start()
-        return _Worker(self._next_worker_id, proc, task_q)
+        # Only the worker keeps these ends: its death then reads as EOF
+        # here and a send to it fails instead of blocking.
+        task_r.close()
+        result_w.close()
+        worker = _Worker(self._next_worker_id, proc, tasks, results)
+        self._workers[worker.id] = worker
+        return worker
 
-    def _timeout_for(self, batch):
-        if self.batch_timeout is not None:
-            return self.batch_timeout
-        return max(_MIN_BATCH_TIMEOUT,
-                   self.fault_timeout_hint * len(batch.entries) * 8)
+    def _ship(self, worker, token):
+        """Send golden ``token`` to ``worker``: once per worker."""
+        worker.tasks.send(("golden", token) + self._goldens[token])
+        worker.goldens.add(token)
+
+    def _retire(self, worker):
+        """Stop tracking ``worker``, killing it if it still runs."""
+        self._workers.pop(worker.id, None)
+        self._kill(worker.proc)
+        worker.tasks.close()
+        worker.results.close()
 
     @staticmethod
     def _kill(proc):
@@ -439,11 +490,50 @@ class WorkerSupervisor:
             proc.join(0.5)
         proc.join(0.0)
 
+    def forget(self, golden):
+        """Drop a golden payload no later campaign will use, here and
+        in every worker holding it."""
+        token = _golden_token(golden)
+        if self._goldens.pop(token, None) is None:
+            return
+        for worker in list(self._workers.values()):
+            if token in worker.goldens:
+                worker.goldens.discard(token)
+                try:
+                    worker.tasks.send(("forget", token))
+                except OSError:
+                    self._retire(worker)
+
+    def close(self):
+        """Shut every worker down (politely, then by force)."""
+        workers = list(self._workers.values())
+        for worker in workers:
+            try:
+                worker.tasks.send(None)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 1.0
+        for worker in workers:
+            worker.proc.join(max(0.0, deadline - time.monotonic()))
+            self._retire(worker)
+        self._goldens.clear()
+
     # -- the supervision loop ------------------------------------------
 
-    def run(self, entry_batches, progress=None, on_record=None,
-            on_incident=None, stop=None):
-        """Execute ``entry_batches`` (lists of ``(index, spec, attempt)``).
+    def run(self, sim_factory, runner, entry_batches, jobs,
+            retries=DEFAULT_RETRIES, batch_timeout=None,
+            fault_timeout_hint=None, chaos=None, progress=None,
+            on_record=None, on_incident=None, stop=None):
+        """Execute one campaign's ``entry_batches`` (lists of
+        ``(index, spec, attempt)``) on up to ``jobs`` workers.
+
+        ``runner`` is the campaign's :class:`~repro.injection.campaign
+        .FaultRunner`: its golden payload (with ``sim_factory``) is
+        what workers are shipped once, the rest travels per batch, and
+        the lane-engine accounting the workers report is added to it.
+        ``batch_timeout`` is an explicit per-batch wall-clock budget;
+        ``None`` derives one from ``fault_timeout_hint`` (seconds per
+        fault, already scaled by ``hang_factor``).
 
         Returns ``(records, incidents, requeued, drained)``:
         ``records`` maps fault index -> FaultRecord for every fault
@@ -453,6 +543,21 @@ class WorkerSupervisor:
         run (in-flight batches were finished and flushed, queued ones
         abandoned).
         """
+        jobs = max(1, jobs)
+        retries = max(1, retries or DEFAULT_RETRIES)
+        hint = fault_timeout_hint or 0.0
+
+        def timeout_for(batch):
+            if batch_timeout is not None:
+                return batch_timeout
+            return max(_MIN_BATCH_TIMEOUT, hint * len(batch.entries) * 8)
+
+        token = _golden_token(runner.golden)
+        self._goldens.setdefault(token, (sim_factory, runner.golden))
+        # What travels with every batch: the runner minus its golden.
+        shell = copy.copy(runner)
+        shell.golden = None
+
         total = sum(len(b) for b in entry_batches)
         pending = [self._make_batch(list(b)) for b in entry_batches if b]
         records = {}
@@ -461,13 +566,7 @@ class WorkerSupervisor:
         requeued = 0
         done = 0
         drained = False
-        inflight = {}   # batch_id -> (_Batch, _Worker)
-        workers = {}    # worker_id -> _Worker
-        payload = pickle.dumps(
-            (self.sim_factory, self.runner, self.chaos),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        result_q = self._ctx.Queue()
+        inflight = {}   # worker_id -> (_Batch, _Worker)
 
         def requeue(entries):
             nonlocal requeued
@@ -492,7 +591,7 @@ class WorkerSupervisor:
                 requeue(batch.entries[mid:])
                 return
             index, spec, _ = batch.entries[0]
-            if failures[index] >= self.retries:
+            if failures[index] >= retries:
                 incident = Incident(index, spec, kind, detail,
                                     attempts=failures[index])
                 incidents.append(incident)
@@ -504,6 +603,13 @@ class WorkerSupervisor:
                 return
             requeue(batch.entries)
 
+        def idle_worker():
+            """An idle live worker, preferring one holding the golden."""
+            idle = [w for w in self._workers.values()
+                    if w.id not in inflight and w.proc.is_alive()]
+            return next((w for w in idle if token in w.goldens),
+                        idle[0] if idle else None)
+
         try:
             while pending or inflight:
                 now = time.monotonic()
@@ -512,32 +618,34 @@ class WorkerSupervisor:
                     drained = True
                     pending.clear()
                 # Reap workers that died while idle (nothing to retry).
-                for worker in [w for w in workers.values()
-                               if not w.proc.is_alive()
-                               and all(wk is not w
-                                       for _, wk in inflight.values())]:
-                    worker.proc.join(0.0)
-                    del workers[worker.id]
+                for worker in [w for w in self._workers.values()
+                               if w.id not in inflight
+                               and not w.proc.is_alive()]:
+                    self._retire(worker)
                 # Dispatch ready batches onto idle (spawning) workers.
-                busy = {worker.id for _, worker in inflight.values()}
                 for batch in [b for b in sorted(pending,
                                                 key=lambda b: b.id)
                               if b.not_before <= now]:
-                    worker = next(
-                        (w for w in workers.values()
-                         if w.id not in busy and w.proc.is_alive()),
-                        None,
-                    )
+                    if len(inflight) >= jobs:
+                        break
+                    worker = idle_worker()
                     if worker is None:
-                        if len(workers) >= self.jobs:
+                        if len(self._workers) >= jobs:
                             break
-                        worker = self._spawn(payload, result_q)
-                        workers[worker.id] = worker
+                        worker = self._spawn()
+                    try:
+                        if token not in worker.goldens:
+                            self._ship(worker, token)
+                        worker.tasks.send(("batch", batch.id, token, shell,
+                                           chaos, batch.entries))
+                    except OSError:
+                        # Died between the liveness check and the send:
+                        # nothing ran, so the batch is not charged.
+                        self._retire(worker)
+                        continue
                     pending.remove(batch)
-                    batch.deadline = now + self._timeout_for(batch)
-                    inflight[batch.id] = (batch, worker)
-                    busy.add(worker.id)
-                    worker.task_q.put((batch.id, batch.entries))
+                    batch.deadline = now + timeout_for(batch)
+                    inflight[worker.id] = (batch, worker)
                 # Wait for the next event: a result, a deadline, or a
                 # backoff expiry -- bounded so liveness checks and the
                 # stop flag are polled regularly.
@@ -546,30 +654,26 @@ class WorkerSupervisor:
                 wait = _POLL_MAX
                 if horizon:
                     wait = min(wait, max(min(horizon) - now, _POLL_MIN))
-                message = None
+                ready = []
                 if inflight:
-                    try:
-                        message = result_q.get(timeout=wait)
-                    except queue.Empty:
-                        pass
+                    ready = connection.wait(
+                        [w.results for _, w in inflight.values()], wait)
                 elif pending:
                     time.sleep(wait)
-                if message is not None:
-                    tag, _, batch_id = message[:3]
-                    landed = inflight.pop(batch_id, None)
-                    if landed is None:
-                        # Stale: the batch was already failed over (for
-                        # example its worker was deadline-killed right
-                        # after posting).  The retry recomputes the
-                        # same records; dropping this copy keeps every
-                        # index appended to the store exactly once.
+                for batch, worker in [entry for entry in inflight.values()
+                                      if entry[1].results in ready]:
+                    try:
+                        message = worker.results.recv()
+                    except (EOFError, OSError):
+                        continue  # it died: the liveness check fails it
+                    if message[1] != batch.id:  # pragma: no cover
                         continue
-                    batch, worker = landed
-                    if tag == "done":
-                        _, _, _, batch_records, cycles, peak = message
-                        self.batch_cycles += cycles
-                        self.batch_lane_peak_bytes = max(
-                            self.batch_lane_peak_bytes, peak)
+                    del inflight[worker.id]
+                    if message[0] == "done":
+                        _, _, batch_records, cycles, peak = message
+                        runner.batch_cycles += cycles
+                        runner.batch_lane_peak_bytes = max(
+                            runner.batch_lane_peak_bytes, peak)
                         for (index, _, _), record in zip(batch.entries,
                                                          batch_records):
                             records[index] = record
@@ -579,40 +683,33 @@ class WorkerSupervisor:
                         if progress is not None:
                             progress(done, total, batch_records[-1])
                     else:
-                        fail(batch, "exception", message[3])
+                        fail(batch, "exception", message[2])
                 # Liveness and deadlines for everything still in flight.
                 now = time.monotonic()
-                for batch_id, (batch, worker) in list(inflight.items()):
+                for batch, worker in list(inflight.values()):
                     if not worker.proc.is_alive():
-                        inflight.pop(batch_id)
-                        worker.proc.join(0.0)
-                        workers.pop(worker.id, None)
-                        code = worker.proc.exitcode
+                        del inflight[worker.id]
+                        self._retire(worker)
                         fail(batch, "crash",
-                             f"worker died (exit code {code}) while "
-                             f"running {len(batch.entries)} fault(s)")
+                             f"worker died (exit code "
+                             f"{worker.proc.exitcode}) while running "
+                             f"{len(batch.entries)} fault(s)")
                     elif now >= batch.deadline:
-                        inflight.pop(batch_id)
-                        workers.pop(worker.id, None)
-                        self._kill(worker.proc)
+                        del inflight[worker.id]
+                        self._retire(worker)
                         fail(batch, "hang",
                              f"batch overran its "
-                             f"{self._timeout_for(batch):.1f}s deadline")
+                             f"{timeout_for(batch):.1f}s deadline")
             return records, incidents, requeued, drained
         finally:
-            for worker in workers.values():
-                if worker.proc.is_alive():
-                    try:
-                        worker.task_q.put(None)
-                    except Exception:  # pragma: no cover - broken pipe
-                        pass
-            deadline = time.monotonic() + 1.0
-            for worker in workers.values():
-                worker.proc.join(max(0.0,
-                                     deadline - time.monotonic()))
-                self._kill(worker.proc)
-            result_q.close()
-            result_q.cancel_join_thread()
+            # Only an exception leaves batches in flight: their workers
+            # are mid-run on work nobody will collect.
+            for _, worker in list(inflight.values()):
+                self._retire(worker)
+
+    def _make_batch(self, entries, not_before=0.0):
+        self._next_batch_id += 1
+        return _Batch(self._next_batch_id, entries, not_before)
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,10 @@ class Cache:
     #: Injectable arrays and the bit width of one element.
     ARRAYS = ("data", "tag", "valid", "dirty", "age")
 
+    #: The attribute holding the simulator's pinout hook (what an
+    #: in-flight waypoint detaches and re-attaches).
+    PINOUT_HOOK = "bus_listener"
+
     def __init__(self, name, config, ram, bus_listener=None,
                  access_listener=None):
         self.name = name

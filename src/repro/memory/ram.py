@@ -60,5 +60,22 @@ class RAM:
     def restore(self, blob):
         self.data = bytearray(blob)
 
+    def page_delta(self, base, page=4096):
+        """The ``(offset, bytes)`` pages where this RAM differs from the
+        snapshot ``base`` (:meth:`restore_delta` inverts it)."""
+        data = self.data
+        return tuple(
+            (start, bytes(data[start:start + page]))
+            for start in range(0, self.size, page)
+            if data[start:start + page] != base[start:start + page]
+        )
+
+    def restore_delta(self, base, delta):
+        """Become ``base`` with the :meth:`page_delta` pages laid over."""
+        data = bytearray(base)
+        for start, blob in delta:
+            data[start:start + len(blob)] = blob
+        self.data = data
+
     def __repr__(self):
         return f"RAM({self.size:#x} bytes)"

@@ -15,6 +15,10 @@ class RTLCache(Cache):
     """A :class:`Cache` whose misses cost explicit bus-burst cycles and
     whose write-backs appear on the pinout as per-word beats."""
 
+    #: ``bus_listener`` is this cache's own beat splitter; the
+    #: simulator's hook sits behind it.
+    PINOUT_HOOK = "_beat_listener"
+
     def __init__(self, name, config, ram, rtl_config, bus_listener=None,
                  access_listener=None):
         self._rtl_cfg = rtl_config

@@ -123,6 +123,19 @@ class RTLSim(SimulatorBase):
     def _remove_pc_listener(self):
         self.core.retire_listener = None
 
+    def _outside_links(self):
+        return super()._outside_links() + [
+            (self.rf, "listener"), (self.rf, "flag_listener"),
+            (self.core, "retire_listener"),
+        ]
+
+    def _adopt_machine(self, core):
+        self.core = core
+        self.dcache, self.icache = core.dcache, core.icache
+        self.predictor = core.predictor
+        self.rf = core.rf
+        self.trace = core.trace
+
     # ------------------------------------------------------------------
     # signal tracing (this level only)
     # ------------------------------------------------------------------

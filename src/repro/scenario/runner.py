@@ -12,6 +12,10 @@ The runner owns everything a grid run can share:
   through :class:`repro.injection.campaign.Campaign`'s golden pool: a
   ``fig1``-style grid pays one golden run per (level, workload) instead
   of one per cell;
+* **worker processes** -- one :class:`~repro.injection.supervisor
+  .WorkerSupervisor` per :meth:`ScenarioRunner.run`: pooled cells
+  reuse its workers, and each golden payload travels to a worker once,
+  not once per cell;
 * **cell results** -- cached by cell identity, so re-running a grid
   (or two grids overlapping on a cell) never repeats a campaign within
   one runner.
@@ -42,6 +46,9 @@ class ScenarioRunner:
         self._frontends = {}
         self._golden_pool = {}
         self._cell_cache = {}
+        #: The worker pool of the :meth:`run` in progress (``None``
+        #: outside one: a lone ``run_cell`` opens a one-shot pool).
+        self._workers = None
 
     # ------------------------------------------------------------------
 
@@ -98,7 +105,7 @@ class ScenarioRunner:
         else:
             result = front.campaign(
                 cell.structure, mode=cell.mode,
-                golden_pool=self._golden_pool,
+                golden_pool=self._golden_pool, worker_pool=self._workers,
                 **self._campaign_kwargs(cell))
         self._cell_cache[identity] = result
         return result
@@ -136,19 +143,28 @@ class ScenarioRunner:
         for cell in cells:
             pair = (cell.level, cell.workload)
             remaining[pair] = remaining.get(pair, 0) + 1
+        from repro.injection.supervisor import WorkerSupervisor
+
         items = []
-        for i, cell in enumerate(cells):
-            result = self.run_cell(cell)
-            items.append((cell, result))
-            # Evict the pair's pooled goldens once nothing else will
-            # share them -- peak memory stays one machine's worth of
-            # capture variants, not the whole grid's.
-            pair = (cell.level, cell.workload)
-            remaining[pair] -= 1
-            if remaining[pair] == 0:
-                for key in list(self._golden_pool):
-                    if key[:2] == pair:
-                        del self._golden_pool[key]
-            if self.progress is not None:
-                self.progress(i + 1, len(cells), cell, result)
+        self._workers = WorkerSupervisor()
+        try:
+            for i, cell in enumerate(cells):
+                result = self.run_cell(cell)
+                items.append((cell, result))
+                # Evict the pair's pooled goldens (here and in the
+                # workers) once nothing else will share them -- peak
+                # memory stays one machine's worth of capture variants,
+                # not the whole grid's.
+                pair = (cell.level, cell.workload)
+                remaining[pair] -= 1
+                if remaining[pair] == 0:
+                    for key in list(self._golden_pool):
+                        if key[:2] == pair:
+                            shared = self._golden_pool.pop(key)
+                            self._workers.forget(shared.golden)
+                if self.progress is not None:
+                    self.progress(i + 1, len(cells), cell, result)
+        finally:
+            self._workers.close()
+            self._workers = None
         return ResultSet(items)

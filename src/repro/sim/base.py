@@ -432,6 +432,85 @@ class SimulatorBase:
             # no prefix to rewind, just re-attach to the rebuilt core.
             self._install_pc_listener(self._pc_trace)
 
+    # ------------------------------------------------------------------
+    # in-flight waypoints (undrained snapshots of a running machine)
+    # ------------------------------------------------------------------
+
+    def waypoint(self, base):
+        """Snapshot the machine as it stands, pipeline in flight.
+
+        Unlike :meth:`checkpoint` nothing drains, so resuming the
+        snapshot (:meth:`resume_waypoint`) continues the very trajectory
+        this machine is on.  ``base`` is the boundary checkpoint the
+        machine was last restored from: RAM is kept as the 4 KiB pages
+        that differ from ``base["ram"]`` and the pinout as the suffix
+        past ``base["pinout"]``.  Links that leave the machine
+        (:meth:`_outside_links`: the shared program, the RAM, observer
+        callbacks such as golden-run trace listeners) are cut for the
+        pickle and restored right after it.
+        """
+        cut = [(obj, attr, getattr(obj, attr))
+               for obj, attr in self._outside_links()]
+        for obj, attr, _ in cut:
+            setattr(obj, attr, None)
+        try:
+            machine = pickle.dumps(self.core,
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            for obj, attr, value in cut:
+                setattr(obj, attr, value)
+        return {
+            "cycle": self.cycle,
+            "machine": machine,
+            "ram": self.ram.page_delta(base["ram"]),
+            "pinout": self.pinout[len(base["pinout"]):],
+        }
+
+    def resume_waypoint(self, base, waypoint):
+        """Put the machine exactly where :meth:`waypoint` found it.
+
+        Its own method rather than a :meth:`restore` variant: restore
+        rebuilds an empty pipeline, this adopts an in-flight one and
+        re-links it to this simulator's program, a fresh RAM and pinout
+        hook.  Observer listeners stay detached unless a trace is
+        recording (as after :meth:`restore`).
+        """
+        ram = RAM(self.program.layout.ram_size)
+        ram.restore_delta(base["ram"], waypoint["ram"])
+        self.ram = ram
+        core = pickle.loads(waypoint["machine"])
+        self._adopt_machine(core)
+        core.program = self.program
+        core.ram = ram
+        bus_event = self._bus_listener()
+        for cache in (self.dcache, self.icache):
+            if cache is not None:
+                cache.ram = ram
+                setattr(cache, cache.PINOUT_HOOK, bus_event)
+        self.pinout[:] = base["pinout"]
+        self.pinout.extend(waypoint["pinout"])
+        if self._trace_active():
+            self._install_trace_listeners(self._access_trace)
+        if self._pc_trace_active():
+            self._install_pc_listener(self._pc_trace)
+
+    def _outside_links(self):
+        """``(object, attribute)`` slots through which the machine
+        reaches outside itself; backends add their trace listeners."""
+        core = self.core
+        links = [(core, "program"), (core, "ram")]
+        for cache in (self.dcache, self.icache):
+            if cache is not None:
+                links += [(cache, "ram"), (cache, cache.PINOUT_HOOK),
+                          (cache, "access_listener")]
+        return links
+
+    def _adopt_machine(self, core):
+        """Backend hook: make ``core`` (unpickled from a waypoint) this
+        simulator's machine, re-pointing the shortcuts ``_build`` set
+        (caches, register files, ...) at its parts."""
+        raise NotImplementedError
+
     # -- checkpoint hooks ----------------------------------------------
 
     def _restart_pc(self):

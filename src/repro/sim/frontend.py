@@ -89,7 +89,8 @@ class Frontend:
     def campaign(self, structure, mode="pinout", samples=100, seed=2017,
                  window=USE_SCALED_WINDOW, distribution="normal", *,
                  accelerate=None, progress=None, store=None, resume=False,
-                 store_format=None, golden_pool=None, **extra):
+                 store_format=None, golden_pool=None, worker_pool=None,
+                 **extra):
         """Run one campaign.  ``structure`` is e.g. ``regfile`` or
         ``l1d.data``.
 
@@ -106,6 +107,9 @@ class Frontend:
         :meth:`repro.injection.campaign.Campaign.run`; pool sharers
         must agree on toolchain and simulator configuration, which any
         pool confined to one :class:`ScenarioRunner`/study does.
+        ``worker_pool`` (a caller-owned :class:`~repro.injection
+        .supervisor.WorkerSupervisor`) keeps worker processes across
+        campaigns.
         """
         from repro.injection.campaign import Campaign
         from repro.injection.store import CampaignStore
@@ -123,7 +127,7 @@ class Frontend:
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store, store_format=store_format)
         return runner.run(progress=progress, store=store, resume=resume,
-                          golden_pool=golden_pool)
+                          golden_pool=golden_pool, worker_pool=worker_pool)
 
     def golden_run(self):
         """One fault-free run; returns the simulator for inspection."""

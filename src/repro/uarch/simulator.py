@@ -99,6 +99,16 @@ class MicroArchSim(SimulatorBase):
     def _remove_trace_listeners(self):
         self.prf.listener = None
 
+    def _outside_links(self):
+        return super()._outside_links() + [(self.prf, "listener")]
+
+    def _adopt_machine(self, core):
+        self.core = core
+        self.dcache, self.icache = core.dcache, core.icache
+        self.predictor = core.predictor
+        self.prf, self.rat = core.prf, core.rat
+        self.flag_file, self.flag_rat = core.flag_file, core.flag_rat
+
     # ------------------------------------------------------------------
     # architectural visibility (tests, syscall-level comparison)
     # ------------------------------------------------------------------

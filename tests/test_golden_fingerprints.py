@@ -6,7 +6,8 @@ tier's default campaign front-end, and a fixed ``prune_mode="off"``,
 must equal ``golden_fingerprints.json`` field for field: cycle counts,
 retired instructions, cache and predictor counters, the output and the
 pinout stream for the golden runs; ``(class, detail, sim_cycles,
-replay_cycles)`` per fault for the samples.  Any change to the
+replay_cycles)`` per fault for the samples, whose replay is also held
+under the in-flight waypoint bound.  Any change to the
 simulators' per-cycle code that is meant to be a pure speed-up must
 leave this file passing unchanged.
 
@@ -62,13 +63,21 @@ def golden_fingerprint(level, workload):
     }
 
 
-def sample_fingerprint(level, workload, structure):
+def sample_campaign(level, workload, structure):
+    """The fixed fault sample: ``(records, golden checkpoint cache)``."""
     frontend = registry.create_frontend(level, workload)
+    pool = {}
     result = frontend.campaign(structure, SAMPLE_MODES[structure][level],
                                samples=SAMPLES, seed=SEED,
-                               prune_mode="off", jobs=1)
+                               prune_mode="off", jobs=1, golden_pool=pool)
+    shared, = pool.values()
+    return result.records, shared.golden["cache"]
+
+
+def sample_fingerprint(level, workload, structure):
+    records, _ = sample_campaign(level, workload, structure)
     return [[r.fclass.value, r.detail, r.sim_cycles, r.replay_cycles]
-            for r in result.records]
+            for r in records]
 
 
 def _golden_key(level, workload):
@@ -118,7 +127,18 @@ def test_golden_run_fingerprint(fixture, level, workload):
 @pytest.mark.parametrize("level", SAMPLE_LEVELS)
 def test_fault_sample_fingerprint(fixture, level, workload, structure):
     expected = fixture["samples"][_sample_key(level, workload, structure)]
-    assert sample_fingerprint(level, workload, structure) == expected
+    records, cache = sample_campaign(level, workload, structure)
+    assert [[r.fclass.value, r.detail, r.sim_cycles, r.replay_cycles]
+            for r in records] == expected
+    # A warm seek resumes the last in-flight waypoint at or before the
+    # instant: it replays at most one waypoint spacing, plus the drain
+    # that ends the segment when the instant falls in its window.
+    for record in records:
+        k = cache.boundary_at_or_before(record.fault.cycle)
+        drain = (cache.cycles[k + 1] - cache.stops[k + 1]
+                 if k + 1 < cache.count else 0)
+        assert record.replay_cycles <= cache.waypoint_spacing + drain, (
+            record)
 
 
 if __name__ == "__main__":

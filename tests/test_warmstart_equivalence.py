@@ -12,31 +12,37 @@ is bit-identical across
 
 This suite pins that promise on **every registered backend** (the
 paper's three tiers: arch, uarch, rtl), which is the cross-tier
-equivalence matrix the acceptance criteria name.  Identity is asserted
-on everything a record carries except wall clock: fault identity,
-class, detail and simulated cycles.
+equivalence matrix the acceptance criteria name.  On the pipelined
+tiers, where a warm seek may also resume an in-flight golden waypoint
+(see tests/test_waypoints.py), the warm/cold x jobs matrix runs over
+every registry workload.  Identity is asserted on everything a record
+carries except wall clock: fault identity, class, detail and simulated
+cycles.
 """
 
 import pytest
 
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.sim import registry
+from repro.workloads import WORKLOAD_NAMES
 from support import record_keys
 
 WORKLOAD = "stringsearch"
 SAMPLES = 6
 SEED = 13
 WINDOW = 800
+REGISTRY_SAMPLES = 4
 
 ALL_LEVELS = registry.level_names()
 
 
-def run_campaign(factory, level, **config_kwargs):
-    config = CampaignConfig(samples=SAMPLES, window=WINDOW, seed=SEED,
-                            **config_kwargs)
+def run_campaign(factory, level, workload=WORKLOAD, golden_pool=None,
+                 **config_kwargs):
+    config_kwargs.setdefault("samples", SAMPLES)
+    config = CampaignConfig(window=WINDOW, seed=SEED, **config_kwargs)
     campaign = Campaign(factory, "regfile", config,
-                        workload=WORKLOAD, level=level)
-    return campaign.run()
+                        workload=workload, level=level)
+    return campaign.run(golden_pool=golden_pool)
 
 
 @pytest.fixture(scope="module", params=ALL_LEVELS)
@@ -60,6 +66,36 @@ def test_equivalence_matrix(level_reference, jobs, warm):
         f"{level}: warm={warm} jobs={jobs} diverged from the serial "
         f"warm reference"
     )
+
+
+@pytest.fixture(scope="module", params=[
+    (level, workload) for level in ("uarch", "rtl")
+    for workload in WORKLOAD_NAMES], ids=lambda p: f"{p[0]}-{p[1]}")
+def registry_reference(request):
+    """Per pipelined (level, workload): the factory, a golden pool
+    shared by the matrix (the capture does not depend on warm/cold or
+    jobs) and the serial warm records.  Every fault simulates."""
+    level, workload = request.param
+    factory = registry.create_frontend(level, workload).sim_factory
+    pool = {}
+    reference = run_campaign(factory, level, workload, pool,
+                             samples=REGISTRY_SAMPLES, prune_mode="off")
+    assert reference.n == REGISTRY_SAMPLES
+    return level, workload, factory, pool, record_keys(reference)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("warm", [True, False],
+                         ids=["warm", "cold"])
+def test_registry_equivalence_matrix(registry_reference, jobs, warm):
+    """{uarch,rtl} x every workload x {jobs=1,2} x {warm,cold} == the
+    serial warm reference."""
+    level, workload, factory, pool, reference = registry_reference
+    result = run_campaign(factory, level, workload, pool,
+                          samples=REGISTRY_SAMPLES, prune_mode="off",
+                          warm_start=warm, jobs=jobs)
+    assert record_keys(result) == reference, (
+        f"{level}/{workload}: warm={warm} jobs={jobs} diverged")
 
 
 def test_bounded_cache_matches_unbounded(level_reference):
