@@ -58,7 +58,11 @@ bench:
 # store summary.  The jobs leg re-runs the same cells at --jobs 1 and
 # diffs every cell's classes against the --jobs 2 store, whose cells
 # all ran on one reused worker pool: cross-jobs exactness with golden
-# payloads shipped once per worker.  The static legs re-run fig1's cells (and, below, the
+# payloads shipped once per worker.  The prune leg runs fig1's
+# stringsearch and sha cells with prune=off and diffs their classes
+# against prune=dead stores (the smoke store, and one for sha): dead
+# pruning exactness, window-bounded verdicts included, on two workloads
+# per tier.  The static legs re-run fig1's cells (and, below, the
 # sweep's arch cell) with prune=static -- capture-free dataflow
 # pruning, sanitizer cross-check live -- and diff classes against the
 # prune=off stores: the static exactness contract at all three tiers.  The sweep-smoke scenario (2 levels x 2 prune modes)
@@ -89,7 +93,8 @@ bench:
 # `make bench` has not already written the artifact (CI runs `make
 # test` first, so the expensive cold campaign is not paid twice).
 bench-smoke:
-	rm -rf benchmarks/results/smoke_store benchmarks/results/smoke_prune
+	rm -rf benchmarks/results/smoke_store benchmarks/results/smoke_prune \
+	  benchmarks/results/smoke_prune_sha
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
 	  --set targets.workloads=stringsearch --set faults.samples=20 \
 	  --jobs 2 --store benchmarks/results/smoke_store --resume
@@ -108,15 +113,24 @@ bench-smoke:
 	    || exit 1; \
 	done
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
-	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --set targets.workloads=stringsearch,sha --set faults.samples=20 \
 	  --jobs 2 --prune off \
 	  --store benchmarks/results/smoke_prune
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
+	  --set targets.workloads=sha --set faults.samples=20 \
+	  --jobs 2 --store benchmarks/results/smoke_prune_sha
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_store/uarch-stringsearch-regfile-pinout \
 	  benchmarks/results/smoke_prune/uarch-stringsearch-regfile-pinout
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_store/rtl-stringsearch-regfile-pinout \
 	  benchmarks/results/smoke_prune/rtl-stringsearch-regfile-pinout
+	$(PYTHON) tools/diff_store_classes.py \
+	  benchmarks/results/smoke_prune_sha/uarch-sha-regfile-pinout \
+	  benchmarks/results/smoke_prune/uarch-sha-regfile-pinout
+	$(PYTHON) tools/diff_store_classes.py \
+	  benchmarks/results/smoke_prune_sha/rtl-sha-regfile-pinout \
+	  benchmarks/results/smoke_prune/rtl-sha-regfile-pinout
 	rm -rf benchmarks/results/smoke_static
 	REPRO_STATIC_XCHECK=1 \
 	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \

@@ -222,7 +222,8 @@ class _RTLLaneGroup:
                            len(self.items))
         core = sim.core
         lane = _LaneCore.__new__(_LaneCore)
-        lane.__dict__.update(core.__dict__)
+        for name in RTLCore.__slots__:
+            setattr(lane, name, getattr(core, name))
         lane.group = self
         lane.width = self.width
         lane.ref = self.ref
@@ -442,6 +443,8 @@ class _LaneRegFile:
     as the lane core's flag arrays; the scalar ``flags()`` API is
     unreachable by construction."""
 
+    __slots__ = ("entries", "width", "lregs", "listener", "flag_listener")
+
     def __init__(self, rf, width):
         self.entries = rf.entries
         self.width = width
@@ -466,12 +469,14 @@ class _LaneCore(RTLCore):
     """The adopted pipeline with lane-array data paths.
 
     Never constructed -- :meth:`_RTLLaneGroup._adopt` builds it with
-    ``__new__`` and copies the live scalar core's ``__dict__`` so all
+    ``__new__`` and copies the live scalar core slot by slot so all
     in-flight latches, cache/predictor references and FSM state carry
     over mid-cycle.  Control stages (fetch, decode, issue, WB, redirect
     and stall logic) are inherited verbatim; only the value-carrying
     stages are overridden to compute per-lane and to enforce
     control-deciding values against the reference lane."""
+
+    __slots__ = ("group", "width", "ref", "ln", "lz", "lc", "lv")
 
     def _vec(self, value):
         if isinstance(value, np.ndarray):

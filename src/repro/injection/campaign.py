@@ -871,6 +871,7 @@ class Campaign:
                 # Drain-free backends share the whole trajectory.
                 segments=(None if type(sim).DRAIN_FREE
                           else (cache.cycles, cache.stops)),
+                window=cfg.window,
             )
         static = None
         if golden.get("pc_trace") is not None:

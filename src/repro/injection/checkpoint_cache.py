@@ -13,7 +13,9 @@ injection.  This module owns everything about those restart points:
 * **bounding** -- ``max_resident`` caps how many checkpoint payloads
   stay in memory (and therefore how much the parallel executor
   serializes per worker).  Eviction is LRU over restore traffic; the
-  base checkpoint is pinned so every cycle stays reachable;
+  base checkpoint is pinned so every cycle stays reachable.  Every
+  other boundary keeps its RAM as the 4 KiB pages that differ from the
+  base's (:meth:`entry` lays them back over it);
 * **waypoints** -- on pipelined backends the golden run also keeps an
   undrained in-flight snapshot every quarter stride between two
   boundaries, evicted together with the boundary it follows;
@@ -35,6 +37,7 @@ machine state.  That invariance is what the cross-tier equivalence suite
 
 import bisect
 
+from repro.memory.ram import apply_delta, page_delta
 from repro.sim.base import RunStatus
 
 
@@ -75,7 +78,9 @@ class CheckpointCache:
         self.digests = []
         #: Pinout length at the boundary (trace comparison base).
         self.pinout_lens = []
-        #: Retained checkpoint payloads, index -> checkpoint dict.
+        #: Retained checkpoint payloads, index -> checkpoint dict; past
+        #: the base, ``"ram"`` is replaced by ``"ram_pages"``, its
+        #: :func:`~repro.memory.ram.page_delta` against the base RAM.
         self._entries = {}
         #: In-flight golden snapshots between boundaries (pipelined
         #: backends only), index of the boundary they follow -> list of
@@ -176,6 +181,10 @@ class CheckpointCache:
         self.digests.append(sim.state_digest() if self.collect_digests
                             else None)
         self.pinout_lens.append(len(cp["pinout"]))
+        if index:
+            cp = dict(cp)
+            cp["ram_pages"] = page_delta(cp.pop("ram"),
+                                         self._entries[0]["ram"])
         self._entries[index] = cp
         self._touch(index)
         self._evict()
@@ -243,7 +252,14 @@ class CheckpointCache:
         return j
 
     def entry(self, index):
-        return self._entries[index]
+        """Retained checkpoint ``index`` as ``checkpoint()`` took it."""
+        cp = self._entries[index]
+        if "ram_pages" not in cp:
+            return cp
+        full = dict(cp)
+        full["ram"] = bytes(apply_delta(self._entries[0]["ram"],
+                                        full.pop("ram_pages")))
+        return full
 
     def waypoint_at_or_before(self, index, cycle):
         """The last retained waypoint of boundary ``index``'s segment at
@@ -279,9 +295,9 @@ class CheckpointCache:
             # next boundary's stop cycle, and a plain run never drains).
             waypoint = self.waypoint_at_or_before(target, cycle)
             if waypoint is not None:
-                sim.resume_waypoint(self._entries[target], waypoint)
+                sim.resume_waypoint(self.entry(target), waypoint)
                 return self.pinout_lens[target], waypoint["cycle"]
-        sim.restore(self._entries[start])
+        sim.restore(self.entry(start))
         restore_cycle = sim.cycle
         for k in range(start + 1, target + 1):
             status = sim.run(stop_cycle=self.stops[k],

@@ -29,6 +29,8 @@ class SyscallEmulator:
     through it unchanged (a corrupted output *is* the SDC evidence).
     """
 
+    __slots__ = ("output", "exited", "exit_code")
+
     def __init__(self):
         self.output = bytearray()
         self.exited = False

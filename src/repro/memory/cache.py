@@ -16,6 +16,9 @@ from repro.errors import SimFault
 class CacheConfig:
     """Geometry of one cache (defaults: the Cortex-A9 32 KB 4-way L1)."""
 
+    __slots__ = ("size", "ways", "line_size", "sets", "offset_bits",
+                 "index_bits")
+
     def __init__(self, size=32 * 1024, ways=4, line_size=32):
         if size % (ways * line_size):
             raise ValueError("size must be a multiple of ways * line_size")
@@ -55,6 +58,10 @@ class Cache:
     ``access_listener`` receives ``(cycle, set, way, write, addr)`` for every
     access and is what the RTL inject-near-consumption optimisation replays.
     """
+
+    __slots__ = ("name", "config", "ram", "bus_listener", "access_listener",
+                 "tags", "valid", "dirty", "age", "data", "hits", "misses",
+                 "writebacks")
 
     #: Injectable arrays and the bit width of one element.
     ARRAYS = ("data", "tag", "valid", "dirty", "age")

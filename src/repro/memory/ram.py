@@ -2,6 +2,29 @@
 
 from repro.errors import SimFault
 
+#: Granularity of :func:`page_delta`.
+PAGE_BYTES = 4096
+
+
+def page_delta(data, base, page=PAGE_BYTES):
+    """The ``(offset, bytes)`` pages where the image ``data`` differs
+    from the equally sized image ``base`` (:func:`apply_delta` inverts
+    it)."""
+    return tuple(
+        (start, bytes(data[start:start + page]))
+        for start in range(0, len(data), page)
+        if data[start:start + page] != base[start:start + page]
+    )
+
+
+def apply_delta(base, delta):
+    """A new bytearray: the image ``base`` with the :func:`page_delta`
+    pages laid over."""
+    data = bytearray(base)
+    for start, blob in delta:
+        data[start:start + len(blob)] = blob
+    return data
+
 
 class RAM:
     """A bounded, byte-addressable, little-endian RAM.
@@ -10,6 +33,8 @@ class RAM:
     ``mem-fault`` -- injected faults that corrupt pointers typically end up
     here and are classified as detected (DUE-like) outcomes.
     """
+
+    __slots__ = ("size", "data")
 
     def __init__(self, size):
         self.size = size
@@ -60,22 +85,14 @@ class RAM:
     def restore(self, blob):
         self.data = bytearray(blob)
 
-    def page_delta(self, base, page=4096):
+    def page_delta(self, base, page=PAGE_BYTES):
         """The ``(offset, bytes)`` pages where this RAM differs from the
         snapshot ``base`` (:meth:`restore_delta` inverts it)."""
-        data = self.data
-        return tuple(
-            (start, bytes(data[start:start + page]))
-            for start in range(0, self.size, page)
-            if data[start:start + page] != base[start:start + page]
-        )
+        return page_delta(self.data, base, page)
 
     def restore_delta(self, base, delta):
         """Become ``base`` with the :meth:`page_delta` pages laid over."""
-        data = bytearray(base)
-        for start, blob in delta:
-            data[start:start + len(blob)] = blob
-        self.data = data
+        self.data = apply_delta(base, delta)
 
     def __repr__(self):
         return f"RAM({self.size:#x} bytes)"

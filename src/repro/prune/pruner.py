@@ -35,6 +35,17 @@ arch emulator) have no such divergence and keep the unlimited horizon,
 as does the final segment of any run (the golden run free-runs from its
 last checkpoint to program exit, exactly like a faulty run does).
 
+**The observation window.**  A campaign that watches the pinout or
+the program output for a bounded window after the injection stops the
+faulty run ``window`` cycles later.  When the golden run does not touch
+the faulted cell before that stop, and the stop lies within the
+horizon above, the faulty run *is* the golden run through the whole
+window except for the one untouched bit: its pinout and output are a
+prefix of the golden ones, so the comparison reads Masked.  The
+pruner proves it from the same trace query, bounded by the window
+instead of the run (``DEAD_WINDOW_DETAIL``).  The ``arch`` observation
+point reads final state and never takes this path.
+
 **Structural reachability.**  A backend may declare cells its machine
 cannot address at all -- the RT-level register-file macro's banked and
 spare entries, which no instruction field can name.  Faults there are
@@ -86,6 +97,7 @@ PRUNE_MODES = ("off", "dead", "static")
 DEAD_OVERWRITE_DETAIL = "pruned: overwritten before next read"
 DEAD_SILENT_DETAIL = "pruned: never read again"
 DEAD_UNREACHABLE_DETAIL = "pruned: structurally unreachable cell"
+DEAD_WINDOW_DETAIL = "pruned: not touched within the window"
 
 
 class FaultPruner:
@@ -97,18 +109,23 @@ class FaultPruner:
     the sampled fault list.  ``segments`` carries the golden
     checkpoint cadence ``(boundary_cycles, boundary_stops)`` on
     pipelined backends (the event-horizon input); ``None`` means the
-    whole trace is authoritative (drain-free backends).
+    whole trace is authoritative (drain-free backends).  ``window`` is
+    the campaign's post-injection observation window in cycles
+    (``None``: faulty runs go to program end, and only whole-run
+    verdicts apply).
     """
 
     def __init__(self, trace: LifetimeTrace,
                  events_at_stop_executed: bool, observation: str,
-                 segments: Segments | None = None) -> None:
+                 segments: Segments | None = None,
+                 window: int | None = None) -> None:
         self.trace = trace
         #: Tick-stamp convention of the backend that produced the trace
         #: (see the module docstring).
         self.events_at_stop_executed = bool(events_at_stop_executed)
         self.observation = observation
         self.segments = segments
+        self.window = window
 
     # ------------------------------------------------------------------
 
@@ -156,19 +173,41 @@ class FaultPruner:
         if not trace.reachable(fault.structure, cell):
             return FaultClass.MASKED, DEAD_UNREACHABLE_DETAIL
         event, trustworthy = self._first_event_after_injection(fault)
-        if not trustworthy:
-            return None
-        if event is None:
-            # The bit survives to the end of the run untouched.  Behavior
-            # is golden, but the arch (HVF) observation point inspects
-            # final state and would call the flip latent -- simulate it.
-            if self.observation == "arch":
-                return None
-            return FaultClass.MASKED, DEAD_SILENT_DETAIL
-        _, is_write, _ = event
-        if is_write:
-            return FaultClass.MASKED, DEAD_OVERWRITE_DETAIL
+        if trustworthy:
+            if event is None:
+                # The bit survives to the end of the run untouched.
+                # Behavior is golden, but the arch (HVF) observation
+                # point inspects final state and would call the flip
+                # latent -- simulate it.
+                if self.observation != "arch":
+                    return FaultClass.MASKED, DEAD_SILENT_DETAIL
+            elif event[1]:
+                return FaultClass.MASKED, DEAD_OVERWRITE_DETAIL
+        if self._untouched_through_window(fault, event):
+            return FaultClass.MASKED, DEAD_WINDOW_DETAIL
         return None
+
+    def _untouched_through_window(self, fault: FaultLike,
+                                  event: Event | None) -> bool:
+        """Whether the faulty run stops, at ``fault.cycle + window``,
+        before the golden run touches the cell (``event`` is the first
+        post-injection event) and within the fault's horizon."""
+        if self.window is None or self.observation == "arch":
+            return False
+        end = fault.cycle + self.window
+        horizon = self._horizon(fault.cycle)
+        if horizon is not None and end > horizon:
+            # Past the horizon (or injected into a drain window, where
+            # the horizon is -1) the golden events are not the faulty
+            # run's.
+            return False
+        if event is None:
+            return True
+        # ``run(stop_cycle=end)`` has executed the events stamped
+        # ``end`` on tiers that work before advancing the clock.
+        if self.events_at_stop_executed:
+            return event[0] > end
+        return event[0] >= end
 
     def __repr__(self) -> str:
         return (

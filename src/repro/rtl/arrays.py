@@ -22,6 +22,8 @@ RF_MACRO_ENTRIES = 56
 class RTLRegisterFile:
     """Register-file macro (user regs + banked/spare entries) + CPSR."""
 
+    __slots__ = ("entries", "regs", "cpsr", "listener", "flag_listener")
+
     def __init__(self, entries=RF_MACRO_ENTRIES):
         self.entries = entries
         self.regs = np.zeros(entries, dtype=np.uint32)

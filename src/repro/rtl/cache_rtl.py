@@ -19,6 +19,8 @@ class RTLCache(Cache):
     #: simulator's hook sits behind it.
     PINOUT_HOOK = "_beat_listener"
 
+    __slots__ = ("_rtl_cfg", "_beat_listener", "stall_cycles")
+
     def __init__(self, name, config, ram, rtl_config, bus_listener=None,
                  access_listener=None):
         self._rtl_cfg = rtl_config

@@ -8,6 +8,13 @@ model's timing (SS III-C: "there are cases that cannot be covered").
 
 
 class RTLConfig:
+    __slots__ = (
+        "dcache_size", "dcache_ways", "icache_size", "icache_ways",
+        "line_size", "issue_width", "predictor_entries", "ras_entries",
+        "mul_latency", "bus_request_cycles", "bus_beat_cycles",
+        "mispredict_penalty", "trace_signals",
+    )
+
     def __init__(self, **overrides):
         self.dcache_size = 32 * 1024
         self.dcache_ways = 4

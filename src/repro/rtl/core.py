@@ -92,6 +92,16 @@ class Uop:
 class RTLCore:
     """The pipeline proper; wrapped by :class:`repro.rtl.simulator.RTLSim`."""
 
+    __slots__ = (
+        "cfg", "program", "ram", "icache", "dcache", "predictor", "rf",
+        "syscalls", "cycle", "icount", "pc", "fetch_buffer", "decode_q",
+        "ex1", "ex2", "wb", "mul_uop", "mul_remaining", "mul_sets_flags",
+        "stall_until", "fetch_stall_until", "current_line",
+        "redirect_target", "redirect_cycle", "rr_blocked", "draining",
+        "exited", "fault", "mispredicts", "retired_next_pc",
+        "last_retire_cycle", "trace", "retire_listener",
+    )
+
     def __init__(self, config, program, ram, icache, dcache, predictor, rf):
         self.cfg = config
         self.program = program

@@ -43,6 +43,9 @@ def _uop_signature(uop):
 class SignalTrace:
     """Change-detecting sampler over the RT-level core's flop groups."""
 
+    __slots__ = ("previous", "changes", "max_changes", "crc", "samples",
+                 "toggles")
+
     def __init__(self, max_changes=2_000_000):
         self.previous = {}
         self.changes = []       # (cycle, signal, bitstring) tuples

@@ -9,6 +9,9 @@ information is available at fetch."""
 class BranchPredictor:
     """Bimodal 2-bit predictor with a small return-address stack."""
 
+    __slots__ = ("entries", "counters", "ras", "ras_entries", "lookups",
+                 "mispredicts")
+
     def __init__(self, entries=1024, ras_entries=8):
         self.entries = entries
         self.counters = [2] * entries  # weakly taken

@@ -16,6 +16,16 @@ class CortexA9Config:
         Fetch/Execute/Writeback width 2/4/4
     """
 
+    __slots__ = (
+        "isa", "core_type", "dcache_size", "dcache_ways", "icache_size",
+        "icache_ways", "phys_regs", "iq_entries", "rob_entries",
+        "fetch_width", "execute_width", "writeback_width", "commit_width",
+        "decode_buffer", "flag_regs", "line_size", "alu_units",
+        "mul_units", "mem_units", "alu_latency", "mul_latency",
+        "load_hit_latency", "store_latency", "miss_latency",
+        "mispredict_penalty", "predictor_entries", "ras_entries",
+    )
+
     def __init__(self, **overrides):
         # Table I attributes.
         self.isa = "ARMv7"

@@ -82,6 +82,15 @@ class OoOCore:
     """Cycle-level out-of-order core.  Driven by
     :class:`repro.uarch.simulator.MicroArchSim`."""
 
+    __slots__ = (
+        "cfg", "program", "ram", "icache", "dcache", "predictor", "prf",
+        "rat", "flag_file", "flag_rat", "syscalls", "cycle", "icount",
+        "seq", "pc", "committed_next_pc", "fetch_queue", "rob", "iq",
+        "wb_queue", "fetch_stall_until", "mem_busy_until", "current_line",
+        "redirect_target", "redirect_cycle", "draining", "exited", "fault",
+        "last_commit_cycle", "mispredicts",
+    )
+
     def __init__(self, config, program, ram, icache, dcache, predictor,
                  prf, rat, flag_file, flag_rat):
         self.cfg = config

@@ -16,6 +16,8 @@ FLAG_ARCH = 16
 class PhysRegFile:
     """Value + ready-bit storage for the renamed integer registers."""
 
+    __slots__ = ("size", "values", "ready", "listener")
+
     def __init__(self, size):
         self.size = size
         self.values = [0] * size
@@ -59,6 +61,8 @@ class RenameMap:
     Arch slots 0..15 are r0-r15 (r15 is never renamed -- the PC lives in
     fetch); slot 16 is the NZCV flag bundle.
     """
+
+    __slots__ = ("prf", "arch_slots", "map", "committed", "free")
 
     def __init__(self, prf, arch_slots=NUM_ARCH + 1):
         self.prf = prf

@@ -33,6 +33,10 @@ SAMPLES = 8
 SEED = 13
 WINDOW = 800
 LANES = 4
+#: Faults per matrix cell, by prune mode.  At this window, dead pruning
+#: resolves all of 8 faults on both workloads without simulation, so
+#: the prune=dead cells draw more to leave the lane engine 4-7 faults.
+MATRIX_SAMPLES = {"off": SAMPLES, "dead": 64}
 
 FAST_RTL = RTLConfig(trace_signals=False, dcache_size=1024,
                      icache_size=1024)
@@ -70,8 +74,11 @@ def scalar_reference(request):
     reference records."""
     workload, prune = request.param
     factory = RTLFactory(workload)
-    reference = run_campaign(factory, workload, prune_mode=prune)
-    assert reference.n == SAMPLES
+    samples = MATRIX_SAMPLES[prune]
+    reference = run_campaign(factory, workload, prune_mode=prune,
+                             samples=samples)
+    assert reference.n == samples
+    assert reference.simulated_count >= LANES
     return workload, prune, factory, record_keys(reference)
 
 
@@ -82,6 +89,7 @@ def test_rtl_lane_equivalence_matrix(scalar_reference, jobs, warm):
     scalar warm serial reference."""
     workload, prune, factory, reference = scalar_reference
     result = run_campaign(factory, workload, prune_mode=prune,
+                          samples=MATRIX_SAMPLES[prune],
                           warm_start=warm, jobs=jobs, batch_lanes=LANES)
     assert record_keys(result) == reference, (
         f"{workload}: lanes={LANES} prune={prune} warm={warm} "
@@ -93,11 +101,13 @@ def test_rtl_batch_cycles_accounted_serially(scalar_reference):
     """The serial lane engine reports its global stepped cycles -- the
     denominator of the published ``batch_rtl_speedup`` series."""
     workload, prune, factory, _ = scalar_reference
+    samples = MATRIX_SAMPLES[prune]
     result = run_campaign(factory, workload, prune_mode=prune,
-                          batch_lanes=LANES)
+                          samples=samples, batch_lanes=LANES)
     assert result.batch_cycles > 0
     assert result.batch_lane_peak_bytes > 0
-    scalar = run_campaign(factory, workload, prune_mode=prune)
+    scalar = run_campaign(factory, workload, prune_mode=prune,
+                          samples=samples)
     assert scalar.batch_cycles == 0
     assert scalar.batch_lane_peak_bytes == 0
 

@@ -12,7 +12,12 @@ Plus unit coverage of the trace/pruner pair.
 
 import pytest
 
-from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.campaign import (
+    Campaign,
+    CampaignConfig,
+    SCALED_WINDOW,
+)
+from repro.injection.checkpoint_cache import CheckpointCache
 from repro.injection.classify import FaultClass
 from repro.injection.faults import FaultSpec
 from repro.prune import FaultPruner, LifetimeTrace
@@ -20,8 +25,10 @@ from repro.prune.pruner import (
     DEAD_OVERWRITE_DETAIL,
     DEAD_SILENT_DETAIL,
     DEAD_UNREACHABLE_DETAIL,
+    DEAD_WINDOW_DETAIL,
 )
 from repro.sim import registry
+from repro.workloads import WORKLOAD_NAMES
 
 WORKLOAD = "stringsearch"
 SAMPLES = 24
@@ -191,6 +198,116 @@ def test_pruner_event_horizon_bounds_pipelined_verdicts():
 
 
 # ----------------------------------------------------------------------
+# window-bounded verdicts (synthetic traces)
+# ----------------------------------------------------------------------
+
+WINDOWED = (FaultClass.MASKED, DEAD_WINDOW_DETAIL)
+
+
+@pytest.mark.parametrize("executed", [True, False],
+                         ids=["events_at_stop_executed", "pending"])
+def test_window_rule_tick_convention_at_the_window_end(executed):
+    """A read stamped exactly ``t + window`` has run when the faulty run
+    pauses there on tiers that work before advancing the clock, and is
+    still pending on the others."""
+    trace = make_trace()
+    trace.record("regfile", 1, 110, False)
+    trace.record("regfile", 2, 109, False)
+    trace.record("regfile", 3, 111, False)
+    pruner = FaultPruner(trace, executed, "pinout", window=10)
+    at_end = pruner.classify(fault(32, 100))
+    assert at_end == (None if executed else WINDOWED)
+    assert pruner.classify(fault(64, 100)) is None    # read at 109
+    assert pruner.classify(fault(96, 100)) == WINDOWED  # read at 111
+
+
+def test_window_rule_bounded_by_the_horizon():
+    trace = make_trace()
+    trace.record("regfile", 1, 4500, False)  # read, next segment
+    segments = ([0, 4100], [0, 4000])
+    at = {window: FaultPruner(trace, True, "pinout", segments=segments,
+                              window=window)
+          for window in (3900, 3901)}
+    # t + window == the pre-drain stop: the whole window is shared
+    # with the golden segment.
+    assert at[3900].classify(fault(32, 100)) == WINDOWED
+    assert at[3900].classify(fault(64, 100)) == WINDOWED  # untouched
+    # One cycle past the stop: the golden run was draining there.
+    assert at[3901].classify(fault(32, 100)) is None
+    assert at[3901].classify(fault(64, 100)) is None
+
+
+def test_window_rule_skips_drain_window_injections():
+    trace = make_trace()
+    segments = ([0, 4100], [0, 4000])
+    pruner = FaultPruner(trace, True, "pinout", segments=segments,
+                         window=1)
+    # 4000 < 4050 < 4100: injected while the golden run drained.
+    assert pruner.classify(fault(32, 4050)) is None
+    # The final segment free-runs: any window end is shared.
+    trace.record("regfile", 1, 9000, False)
+    assert pruner.classify(fault(32, 4200)) == WINDOWED
+
+
+def test_window_rule_never_applies_under_arch_observation():
+    trace = make_trace()
+    trace.record("regfile", 1, 500, False)
+    pruner = FaultPruner(trace, True, "arch", window=10)
+    assert pruner.classify(fault(32, 100)) is None
+
+
+def test_window_rule_needs_a_window():
+    """Faulty runs of a windowless campaign go to program end: a read
+    far away still decides.  The campaign hands its window over."""
+    trace = make_trace()
+    trace.record("regfile", 1, 500, False)
+    assert FaultPruner(trace, True, "pinout").classify(
+        fault(32, 100)) is None
+    factory = registry.create_frontend("rtl", WORKLOAD).sim_factory
+    golden = {"trace": trace, "cache": CheckpointCache()}
+    for window in (None, WINDOW):
+        config = CampaignConfig(window=window, observation="software")
+        campaign = Campaign(factory, "regfile", config, level="rtl")
+        pruner, _ = campaign._pruners(factory(), golden)
+        assert pruner.window == window
+
+
+def test_window_none_keeps_every_verdict():
+    """Whatever a windowless pruner decides, a windowed one decides the
+    same; the window only adds verdicts where there were none."""
+    trace = make_trace()
+    for cycle, write in ((50, True), (120, False), (130, True),
+                         (4020, False), (4500, True)):
+        trace.record("regfile", 1, cycle, write)
+    trace.record("regfile", 2, 3000, False)
+    trace.record("cpsr", 0, 60, True)
+    faults = [fault(bit, cycle, structure)
+              for structure, bits in (("regfile", (0, 32, 64, 96)),
+                                      ("cpsr", (0, 1)))
+              for bit in bits
+              for cycle in (0, 49, 50, 100, 119, 3999, 4000, 4050, 4200)]
+    added = 0
+    for segments in (None, ([0, 4100], [0, 4000])):
+        for observation in ("pinout", "software", "arch"):
+            for executed in (True, False):
+                plain = FaultPruner(trace, executed, observation,
+                                    segments=segments)
+                windowed = FaultPruner(trace, executed, observation,
+                                       segments=segments, window=40)
+                for f in faults:
+                    before = plain.classify(f)
+                    after = windowed.classify(f)
+                    assert before is None or before[1] != \
+                        DEAD_WINDOW_DETAIL
+                    if before is not None:
+                        assert after == before, (f, observation)
+                    elif after is not None:
+                        assert after == WINDOWED
+                        added += 1
+    assert added
+
+
+# ----------------------------------------------------------------------
 # the acceptance contract: dead == off, fault for fault, on every tier
 # ----------------------------------------------------------------------
 
@@ -244,6 +361,31 @@ def test_summary_reports_prune_counts(level_results):
     summary = dead.summary()
     assert summary["pruned"] == dead.pruned_count
     assert summary["simulated"] == dead.simulated_count
+
+
+@pytest.mark.parametrize("level", ALL_LEVELS)
+def test_window_pruning_exact_over_registry(level):
+    """Every registry workload, regfile pinout at the scaled window:
+    dead == off class for class, and each fault the window rule pruned
+    classifies Masked when simulated (the off run simulates it)."""
+    windowed = 0
+    for workload in WORKLOAD_NAMES:
+        factory = registry.create_frontend(level, workload).sim_factory
+        runs = {}
+        for prune_mode in ("off", "dead"):
+            config = CampaignConfig(samples=8, window=SCALED_WINDOW,
+                                    seed=SEED, prune_mode=prune_mode)
+            runs[prune_mode] = Campaign(
+                factory, "regfile", config, workload=workload,
+                level=level).run()
+        off, dead = runs["off"].records, runs["dead"].records
+        assert [r.fclass for r in off] == [r.fclass for r in dead], \
+            workload
+        for simulated, pruned in zip(off, dead):
+            if pruned.detail == DEAD_WINDOW_DETAIL:
+                assert simulated.fclass is FaultClass.MASKED, workload
+                windowed += 1
+    assert windowed, f"{level}: the window rule never fired"
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,9 @@ ALL_LEVELS = registry.level_names()
 def run_campaign(factory, level, workload=WORKLOAD, golden_pool=None,
                  **config_kwargs):
     config_kwargs.setdefault("samples", SAMPLES)
+    # Every fault simulates: the matrix compares simulated paths, and at
+    # this window dead pruning resolves every rtl fault without one.
+    config_kwargs.setdefault("prune_mode", "off")
     config = CampaignConfig(window=WINDOW, seed=SEED, **config_kwargs)
     campaign = Campaign(factory, "regfile", config,
                         workload=workload, level=level)
@@ -79,7 +82,7 @@ def registry_reference(request):
     factory = registry.create_frontend(level, workload).sim_factory
     pool = {}
     reference = run_campaign(factory, level, workload, pool,
-                             samples=REGISTRY_SAMPLES, prune_mode="off")
+                             samples=REGISTRY_SAMPLES)
     assert reference.n == REGISTRY_SAMPLES
     return level, workload, factory, pool, record_keys(reference)
 
@@ -92,7 +95,7 @@ def test_registry_equivalence_matrix(registry_reference, jobs, warm):
     serial warm reference."""
     level, workload, factory, pool, reference = registry_reference
     result = run_campaign(factory, level, workload, pool,
-                          samples=REGISTRY_SAMPLES, prune_mode="off",
+                          samples=REGISTRY_SAMPLES,
                           warm_start=warm, jobs=jobs)
     assert record_keys(result) == reference, (
         f"{level}/{workload}: warm={warm} jobs={jobs} diverged")

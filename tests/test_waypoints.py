@@ -168,7 +168,8 @@ def test_resume_equals_seek_plus_advance(golden):
         assert resumed.cycle == replayed.cycle == instant
         assert machine_state(resumed) == machine_state(replayed), instant
         # Injection reaches the resumed machine, not a stale part.
-        parts = {id(part) for part in vars(resumed.core).values()}
+        core = resumed.core
+        parts = {id(getattr(core, name)) for name in type(core).__slots__}
         for structure in resumed.INJECTABLE:
             holder, _ = resumed._resolve_target(structure)
             assert id(holder) in parts, structure
@@ -177,6 +178,50 @@ def test_resume_equals_seek_plus_advance(golden):
         replayed.run(stop_cycle=end)
         assert machine_state(resumed) == machine_state(replayed), (
             f"diverged after running on from {instant}")
+
+
+def dict_holders(sim):
+    """Type names of the objects in ``sim``'s machine graph (outside
+    links but the RAM cut, callables skipped) that carry an instance
+    ``__dict__``.  A latched wrong-path :class:`~repro.errors.SimFault`
+    is an exception, which always has one, and is skipped too."""
+    cut = {id(getattr(obj, attr))
+           for obj, attr in sim._outside_links()} - {id(sim.ram)}
+    found, seen, pending = set(), set(), [sim.core]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or id(obj) in cut or callable(obj) or isinstance(
+                obj, (bool, int, float, str, bytes, bytearray, type(None),
+                      enum.Enum, np.ndarray, np.generic, BaseException)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            pending.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            pending.extend(obj)
+        else:
+            if hasattr(obj, "__dict__"):
+                found.add(type(obj).__qualname__)
+                pending.extend(vars(obj).values())
+            pending.extend(getattr(obj, name)
+                           for cls in type(obj).__mro__
+                           for name in getattr(cls, "__slots__", ())
+                           if hasattr(obj, name))
+    return found
+
+
+def test_machine_graph_is_slotted(golden):
+    """Restored and waypoint-resumed machines run on slotted objects:
+    unpickling a waypoint materializes no instance ``__dict__``."""
+    factory, cache = golden
+    restored = factory()
+    restored.restore(cache.entry(cache.count // 2))
+    resumed = factory()
+    instant, expected = instants(cache)[1]
+    assert cache.seek(resumed, instant)[1] == expected
+    for sim in (restored, resumed):
+        sim.run(stop_cycle=sim.cycle + 200)
+        assert not dict_holders(sim), type(sim).LEVEL
 
 
 def test_cold_seek_ignores_waypoints(golden):
