@@ -11,7 +11,8 @@ help:
 	@echo "  bench       artifact-regenerating benches only (-> benchmarks/results/)"
 	@echo "  bench-smoke fig1 store+resume round trip, jobs 1 vs 2 (one reused"
 	@echo "              pool) per-cell class diff, prune off/dead classification"
-	@echo "              diff, prune static (capture-free dataflow pruning,"
+	@echo "              diff (fig1 regfile, and the Fig. 3 l1d.data flow"
+	@echo "              on sha), prune static (capture-free dataflow pruning,"
 	@echo "              REPRO_STATIC_XCHECK sanitizer on) vs off class diffs"
 	@echo "              at all three tiers, sweep-scenario store+resume round"
 	@echo "              trip (+ CSV artifact), binary vs jsonl store-format"
@@ -131,6 +132,20 @@ bench-smoke:
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_prune_sha/rtl-sha-regfile-pinout \
 	  benchmarks/results/smoke_prune/rtl-sha-regfile-pinout
+	rm -rf benchmarks/results/smoke_fig3 benchmarks/results/smoke_fig3_off
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run \
+	  bench/workloads/fig3-l1d.toml \
+	  --set sweep.seed=1,2 --set faults.samples=12 --prune dead \
+	  --store benchmarks/results/smoke_fig3
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run \
+	  bench/workloads/fig3-l1d.toml \
+	  --set sweep.seed=1,2 --set faults.samples=12 --prune off \
+	  --store benchmarks/results/smoke_fig3_off
+	for cell in benchmarks/results/smoke_fig3/*; do \
+	  $(PYTHON) tools/diff_store_classes.py \
+	    benchmarks/results/smoke_fig3_off/$$(basename $$cell) $$cell \
+	    || exit 1; \
+	done
 	rm -rf benchmarks/results/smoke_static
 	REPRO_STATIC_XCHECK=1 \
 	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \

@@ -166,7 +166,8 @@ class CampaignConfig:
         self.early_stop = early_stop
         #: Fault pruning: ``"off"`` simulates every sampled fault;
         #: ``"dead"`` (default) classifies faults whose bit is
-        #: overwritten before its next read -- or never read again -- as
+        #: overwritten before its next read -- or never read again, or
+        #: in an L1D line not yet filled -- as
         #: Masked without simulation, from the golden lifetime trace
         #: (:mod:`repro.prune`; exact: the per-fault classes match
         #: ``"off"`` fault for fault); ``"static"`` proves the same
@@ -691,7 +692,11 @@ class Campaign:
         """What the golden phase must instrument: ``(access, pc)``.
 
         ``access`` -- capture the per-cell lifetime trace (the dynamic
-        pruner's input); ``pc`` -- capture the retired-PC stream (the
+        pruner's input): ``True`` records the backend's register cells,
+        ``"l1d"`` the L1D line cells instead, for campaigns that target
+        an ``l1d.*`` array (register events could never decide one of
+        their faults, and line events cost a register campaign's golden
+        run for nothing); ``pc`` -- capture the retired-PC stream (the
         static pruner's anchor).  ``prune_mode="static"`` needs only the
         PC stream; the sanitizer (``REPRO_STATIC_XCHECK=1``) forces both
         on so every static verdict can be checked against the dynamic
@@ -712,6 +717,8 @@ class Campaign:
         # unsanitized shape, so the env var can never alter what the
         # partitioner sees.
         access = mode == "dead" or (xcheck and pc)
+        if access and self.structure.startswith("l1d."):
+            access = "l1d"
         return access, pc
 
     def _instrument_golden(self, sim, access_log):
@@ -736,7 +743,9 @@ class Campaign:
             # round-trips the same machine at the same instant, where
             # the live trace already holds the right prefix -- only the
             # final sealed trace feeds the pruner.
-            sim.enable_access_trace(snapshot_in_checkpoints=False)
+            sim.enable_access_trace(
+                snapshot_in_checkpoints=False,
+                scope="l1d" if capture_access == "l1d" else "registers")
         if capture_pc:
             sim.enable_pc_trace()
         return attach_access_log, capture_access, capture_pc

@@ -15,7 +15,8 @@ injection.  This module owns everything about those restart points:
   serializes per worker).  Eviction is LRU over restore traffic; the
   base checkpoint is pinned so every cycle stays reachable.  Every
   other boundary keeps its RAM as the 4 KiB pages that differ from the
-  base's (:meth:`entry` lays them back over it);
+  base's, and every boundary its pinout as the suffix past the
+  previous boundary's, resident or not (:meth:`entry` rebuilds both);
 * **waypoints** -- on pipelined backends the golden run also keeps an
   undrained in-flight snapshot every quarter stride between two
   boundaries, evicted together with the boundary it follows;
@@ -78,8 +79,16 @@ class CheckpointCache:
         self.digests = []
         #: Pinout length at the boundary (trace comparison base).
         self.pinout_lens = []
-        #: Retained checkpoint payloads, index -> checkpoint dict; past
-        #: the base, ``"ram"`` is replaced by ``"ram_pages"``, its
+        #: The golden pinout up to the last boundary captured.  Each
+        #: boundary's pinout extends the previous one's (the golden run
+        #: resumes from its own checkpoint), so boundary ``k``'s is the
+        #: first ``pinout_lens[k]`` transactions: each boundary adds
+        #: only its suffix, kept whether or not the boundary stays
+        #: resident.
+        self._pinout = []
+        #: Retained checkpoint payloads, index -> checkpoint dict
+        #: without its ``"pinout"``; past the base, ``"ram"`` is
+        #: replaced by ``"ram_pages"``, its
         #: :func:`~repro.memory.ram.page_delta` against the base RAM.
         self._entries = {}
         #: In-flight golden snapshots between boundaries (pipelined
@@ -181,8 +190,10 @@ class CheckpointCache:
         self.digests.append(sim.state_digest() if self.collect_digests
                             else None)
         self.pinout_lens.append(len(cp["pinout"]))
+        cp = dict(cp)
+        pinout = cp.pop("pinout")
+        self._pinout.extend(pinout[len(self._pinout):])
         if index:
-            cp = dict(cp)
             cp["ram_pages"] = page_delta(cp.pop("ram"),
                                          self._entries[0]["ram"])
         self._entries[index] = cp
@@ -253,12 +264,11 @@ class CheckpointCache:
 
     def entry(self, index):
         """Retained checkpoint ``index`` as ``checkpoint()`` took it."""
-        cp = self._entries[index]
-        if "ram_pages" not in cp:
-            return cp
-        full = dict(cp)
-        full["ram"] = bytes(apply_delta(self._entries[0]["ram"],
-                                        full.pop("ram_pages")))
+        full = dict(self._entries[index])
+        full["pinout"] = self._pinout[:self.pinout_lens[index]]
+        if "ram_pages" in full:
+            full["ram"] = bytes(apply_delta(self._entries[0]["ram"],
+                                            full.pop("ram_pages")))
         return full
 
     def waypoint_at_or_before(self, index, cycle):

@@ -435,9 +435,11 @@ def encode_trace(snapshot):
     its first value plus run-length-encoded deltas; the analyze step
     picks the narrowest byte width that holds the stream's largest
     delta (register-file access patterns are loops, so runs are long
-    and deltas small).
+    and deltas small).  The snapshot's write-born marks are not
+    persisted: a trace read back from a store serves reports, never a
+    pruner, and :func:`decode_trace` restores it with none.
     """
-    events, bits_per_cell, reachable = snapshot
+    events, bits_per_cell, reachable = snapshot[:3]
     out = [TRACE_MAGIC, struct.pack("<I", len(bits_per_cell))]
     for structure in sorted(bits_per_cell):
         name = structure.encode("utf-8")
@@ -485,7 +487,8 @@ def encode_trace(snapshot):
 
 
 def decode_trace(blob):
-    """Inverse of :func:`encode_trace`: the snapshot tuple."""
+    """Inverse of :func:`encode_trace`: the snapshot tuple (with no
+    write-born marks)."""
     if blob[:len(TRACE_MAGIC)] != TRACE_MAGIC:
         raise StoreError("not a format-2 trace file (bad magic)")
     pos = len(TRACE_MAGIC)
@@ -542,4 +545,4 @@ def decode_trace(blob):
             events[name] = streams
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise StoreError(f"corrupt trace file: {exc}")
-    return events, bits, reachable
+    return events, bits, reachable, frozenset()

@@ -28,6 +28,11 @@ class Transaction:
         self.data = bytes(data)
         self.cycle = cycle
 
+    def __reduce__(self):
+        # Positional, not the default slot-state dict: checkpoints and
+        # waypoints ship thousands of these to campaign workers.
+        return Transaction, (self.kind, self.addr, self.data, self.cycle)
+
     def key(self, with_timing=False):
         """Comparison key: content+order by default, plus cycle if asked."""
         if with_timing:

@@ -57,11 +57,16 @@ class Cache:
     events via a callable ``(kind, line_addr, data_bytes, cycle)``;
     ``access_listener`` receives ``(cycle, set, way, write, addr)`` for every
     access and is what the RTL inject-near-consumption optimisation replays.
+    ``trace_listener`` receives ``(set, way, write)`` for every event on a
+    line's data bytes that the fault pruner needs: a refill (``write``,
+    all bytes overwritten), a load and a dirty write-back (reads).
+    Stores are not reported: a partial write neither reads the line's
+    other bytes nor overwrites all of them.
     """
 
     __slots__ = ("name", "config", "ram", "bus_listener", "access_listener",
-                 "tags", "valid", "dirty", "age", "data", "hits", "misses",
-                 "writebacks")
+                 "trace_listener", "tags", "valid", "dirty", "age", "data",
+                 "hits", "misses", "writebacks")
 
     #: Injectable arrays and the bit width of one element.
     ARRAYS = ("data", "tag", "valid", "dirty", "age")
@@ -77,6 +82,7 @@ class Cache:
         self.ram = ram
         self.bus_listener = bus_listener
         self.access_listener = access_listener
+        self.trace_listener = None
         shape = (config.sets, config.ways)
         self.tags = np.zeros(shape, dtype=np.uint32)
         self.valid = np.zeros(shape, dtype=bool)
@@ -135,6 +141,8 @@ class Cache:
 
     def _evict(self, index, way, cycle):
         if self.valid[index, way] and self.dirty[index, way]:
+            if self.trace_listener is not None:
+                self.trace_listener(index, way, False)
             base = self._line_base(index, way)
             blob = self.data[index, way].tobytes()
             self.writebacks += 1
@@ -154,6 +162,8 @@ class Cache:
         self.valid[index, way] = True
         self.dirty[index, way] = False
         self.data[index, way] = np.frombuffer(blob, dtype=np.uint8)
+        if self.trace_listener is not None:
+            self.trace_listener(index, way, True)
         if self.bus_listener is not None:
             self.bus_listener("rd", base, b"", cycle)
         return way
@@ -194,6 +204,8 @@ class Cache:
             self.data[index, way, offset:offset + size] = list(encoded)
             self.dirty[index, way] = True
             return value, hit
+        if self.trace_listener is not None:
+            self.trace_listener(index, way, False)
         raw = self.data[index, way, offset:offset + size].tobytes()
         return int.from_bytes(raw, "little"), hit
 

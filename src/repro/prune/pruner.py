@@ -46,6 +46,21 @@ pruner proves it from the same trace query, bounded by the window
 instead of the run (``DEAD_WINDOW_DETAIL``).  The ``arch`` observation
 point reads final state and never takes this path.
 
+**Write-born cells.**  A structure whose cells are unreadable until
+their first write (the L1D data array, one cell per line: an invalid
+line cannot hit, ``Cache._evict`` writes back only valid dirty lines,
+and the only way back to valid is a refill that overwrites all of its
+bytes) makes a flip in a cell the golden run has not yet written at
+the injection instant Masked in every trajectory
+(``DEAD_COLD_DETAIL``).  The claim is about the machine state at the
+injection instant, not about any event after it, so no horizon bounds
+it; it needs only that instant to be on the shared golden trajectory,
+which rules out injections inside a drain window (the faulty run
+reaches those without draining, and may fill lines the golden trace
+never saw filled).  It holds at every observation point, the ``arch``
+one included, because the coherent memory image overlays only valid
+dirty lines.
+
 **Structural reachability.**  A backend may declare cells its machine
 cannot address at all -- the RT-level register-file macro's banked and
 spare entries, which no instruction field can name.  Faults there are
@@ -98,6 +113,7 @@ DEAD_OVERWRITE_DETAIL = "pruned: overwritten before next read"
 DEAD_SILENT_DETAIL = "pruned: never read again"
 DEAD_UNREACHABLE_DETAIL = "pruned: structurally unreachable cell"
 DEAD_WINDOW_DETAIL = "pruned: not touched within the window"
+DEAD_COLD_DETAIL = "pruned: line not yet filled"
 
 
 class FaultPruner:
@@ -144,14 +160,17 @@ class FaultPruner:
         stop = stops[k + 1]
         return stop if fault_cycle <= stop else -1
 
+    def _threshold(self, fault: FaultLike) -> int:
+        """Stamp of the first golden event after the injection."""
+        return fault.cycle + (1 if self.events_at_stop_executed else 0)
+
     def _first_event_after_injection(
             self, fault: FaultLike) -> tuple[Event | None, bool]:
         """``(event_or_None, trustworthy)`` for the faulted cell."""
         trace = self.trace
-        threshold = fault.cycle + (1 if self.events_at_stop_executed
-                                   else 0)
         cell = trace.cell_of(fault.structure, fault.bit)
-        event = trace.next_event(fault.structure, cell, threshold)
+        event = trace.next_event(fault.structure, cell,
+                                 self._threshold(fault))
         horizon = self._horizon(fault.cycle)
         if horizon is None:
             return event, True
@@ -172,6 +191,10 @@ class FaultPruner:
         cell = trace.cell_of(fault.structure, fault.bit)
         if not trace.reachable(fault.structure, cell):
             return FaultClass.MASKED, DEAD_UNREACHABLE_DETAIL
+        if (trace.unwritten_before(fault.structure, cell,
+                                   self._threshold(fault))
+                and self._horizon(fault.cycle) != -1):
+            return FaultClass.MASKED, DEAD_COLD_DETAIL
         event, trustworthy = self._first_event_after_injection(fault)
         if trustworthy:
             if event is None:

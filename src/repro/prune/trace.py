@@ -16,6 +16,11 @@ for the paper's workloads) and trivially picklable/snapshottable, which
 is what lets checkpoints carry the trace prefix alongside the pinout
 (see :meth:`repro.sim.base.SimulatorBase.checkpoint`).
 
+A structure may be registered *write-born* (the L1D data array, one
+cell per cache line): its cells hold nothing readable until their first
+write, so a cell with no event before an instant was unreadable at that
+instant (:meth:`LifetimeTrace.unwritten_before`).
+
 A :class:`RetiredPCTrace` is the far cheaper sibling the *static*
 pruner consumes: just the architectural retired-instruction stream as
 ``(cycle, pc)`` pairs, one bisect to anchor an injection cycle to the
@@ -35,13 +40,14 @@ TraceState = tuple[
     dict[str, dict[int, list[int]]],
     dict[str, int],
     dict[str, "frozenset[int] | None"],
+    "frozenset[str]",
 ]
 
 
 class LifetimeTrace:
     """Per-structure, per-cell read/write event log of one golden run."""
 
-    __slots__ = ("_events", "_bits_per_cell", "_reachable")
+    __slots__ = ("_events", "_bits_per_cell", "_reachable", "_write_born")
 
     def __init__(self) -> None:
         #: structure -> cell -> sorted list of ``(cycle << 1) | write``.
@@ -51,6 +57,8 @@ class LifetimeTrace:
         #: structure -> frozenset of cells the machine can ever access,
         #: or None for "all" (see :meth:`register`).
         self._reachable: dict[str, frozenset[int] | None] = {}
+        #: Structures whose cells are unreadable until first written.
+        self._write_born: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------
     # registration + capture (backend listeners)
@@ -58,7 +66,7 @@ class LifetimeTrace:
 
     def register(self, structure: str, bits_per_cell: int,
                  reachable_cells: "range | frozenset[int] | None" = None,
-                 ) -> None:
+                 write_born: bool = False) -> None:
         """Declare a traced structure and its cell granularity.
 
         ``bits_per_cell`` maps a fault-target bit index to its cell
@@ -71,6 +79,11 @@ class LifetimeTrace:
         addresses the 16 architectural ones; faults in the banked/spare
         entries are masked by construction.  ``None`` means every cell
         is reachable.
+
+        ``write_born`` declares that a cell cannot be read before the
+        golden run first writes it -- an L1D line is invalid until its
+        first refill, and the refill overwrites every byte -- so the
+        cell's first recorded event is always a write.
         """
         if bits_per_cell < 1:
             raise ValueError(f"bits_per_cell must be >= 1, got "
@@ -80,6 +93,8 @@ class LifetimeTrace:
         self._reachable[structure] = (
             None if reachable_cells is None else frozenset(reachable_cells)
         )
+        if write_born:
+            self._write_born |= {structure}
 
     def record(self, structure: str, cell: int, cycle: int,
                write: bool) -> None:
@@ -107,6 +122,15 @@ class LifetimeTrace:
         """Whether the machine can structurally access ``cell`` at all."""
         cells = self._reachable.get(structure)
         return cells is None or cell in cells
+
+    def unwritten_before(self, structure: str, cell: int,
+                         cycle: int) -> bool:
+        """Whether ``cell`` of a write-born structure has no event
+        stamped before ``cycle`` -- its content was unreadable then."""
+        if structure not in self._write_born:
+            return False
+        events = self._events[structure].get(cell)
+        return not events or events[0] >> 1 >= cycle
 
     def next_event(self, structure: str, cell: int,
                    min_cycle: int) -> Event | None:
@@ -156,14 +180,16 @@ class LifetimeTrace:
              for s, cells in self._events.items()},
             dict(self._bits_per_cell),
             dict(self._reachable),
+            self._write_born,
         )
 
     def restore(self, state: TraceState) -> None:
-        events, bits, reachable = state
+        events, bits, reachable, write_born = state
         self._events = {s: {c: list(ev) for c, ev in cells.items()}
                         for s, cells in events.items()}
         self._bits_per_cell = dict(bits)
         self._reachable = dict(reachable)
+        self._write_born = frozenset(write_born)
 
     def __repr__(self) -> str:
         per = ", ".join(

@@ -170,7 +170,8 @@ RETRIES_HELP = (
 PRUNE_HELP = (
     "fault pruning: 'off', 'dead' or 'static'.  'dead' (default) "
     "classifies faults whose bit is "
-    "overwritten before its next read as Masked without simulating "
+    "overwritten before its next read, or lies in an L1D line not yet "
+    "filled, as Masked without simulating "
     "them (repro.prune, golden access trace) -- per-fault classes are "
     "identical to 'off', only cheaper; 'static' proves the same "
     "dead-interval verdicts from dataflow analysis of the program "

@@ -113,6 +113,9 @@ class SimulatorBase:
         #: execution, and must not pollute the lifetime trace.
         self._trace_pause = 0
         self._trace_in_checkpoints = True
+        #: Which cells the access trace records (see
+        #: :meth:`enable_access_trace`).
+        self._trace_scope = "registers"
         #: Golden-run retired-PC stream (:mod:`repro.staticcheck`);
         #: None until :meth:`enable_pc_trace`.
         self._pc_trace = None
@@ -146,14 +149,20 @@ class SimulatorBase:
     # access tracing (the fault-pruning subsystem's capture hook)
     # ------------------------------------------------------------------
 
-    def enable_access_trace(self, snapshot_in_checkpoints=True):
+    def enable_access_trace(self, snapshot_in_checkpoints=True,
+                            scope="registers"):
         """Start recording per-cell read/write events into a
         :class:`~repro.prune.trace.LifetimeTrace`.
 
-        Backends install their storage listeners through
-        :meth:`_install_trace_listeners`; the base class keeps the trace
-        across :meth:`restore` (re-installing listeners on the rebuilt
-        machine) and -- with ``snapshot_in_checkpoints`` -- copies it
+        ``scope`` names the cells recorded.  ``"registers"``: the
+        backend's register storage, through the storage listeners it
+        installs in :meth:`_install_trace_listeners`.  ``"l1d"``: the
+        L1D data array, one write-born cell per (set, way) line
+        (:meth:`_install_line_listener`), and nothing else -- the
+        campaign traces what its fault target can use.
+
+        The base class keeps the trace across :meth:`restore`
+        (re-installing listeners on the rebuilt machine) and -- with ``snapshot_in_checkpoints`` -- copies it
         into checkpoints so traced runs round-trip exactly like the
         pinout does.  The campaign's golden capture disables the
         snapshots: it round-trips the *same* machine at the *same*
@@ -166,9 +175,12 @@ class SimulatorBase:
             from repro.prune.trace import LifetimeTrace
 
             self._access_trace = LifetimeTrace()
+        if scope not in ("registers", "l1d"):
+            raise ValueError(f"unknown access-trace scope {scope!r}")
         self._trace_sealed = False
         self._trace_in_checkpoints = bool(snapshot_in_checkpoints)
-        self._install_trace_listeners(self._access_trace)
+        self._trace_scope = scope
+        self._attach_trace(self._access_trace)
         return self._access_trace
 
     def access_trace(self):
@@ -185,9 +197,41 @@ class SimulatorBase:
         if self._access_trace is not None:
             self._trace_sealed = True
             self._remove_trace_listeners()
+            if self.dcache is not None:
+                self.dcache.trace_listener = None
 
     def _trace_active(self):
         return self._access_trace is not None and not self._trace_sealed
+
+    def _attach_trace(self, trace):
+        """Attach the listeners of the trace's scope to the machine."""
+        if self._trace_scope == "l1d":
+            self._install_line_listener(trace)
+        else:
+            self._install_trace_listeners(trace)
+
+    def _install_line_listener(self, trace):
+        """Record L1D line events into ``trace`` (scope ``"l1d"``).
+
+        One cell per (set, way) line, so a cell covers the line's
+        ``8 * line_size`` data bits (the ``l1d.data`` bit layout is
+        flat over set, way, byte, bit).  A refill is a write, a load
+        or a dirty write-back a read; the line is write-born -- invalid
+        until its first refill.  Cacheless backends record nothing.
+        """
+        cache = self.dcache
+        if cache is None:
+            return
+        ways = cache.config.ways
+        trace.register("l1d.data", 8 * cache.config.line_size,
+                       write_born=True)
+
+        def line_event(index, way, write):
+            if self._trace_pause == 0:
+                trace.record("l1d.data", index * ways + way,
+                             self.core.cycle, write)
+
+        cache.trace_listener = line_event
 
     def _install_trace_listeners(self, trace):
         """Backend hook: attach storage listeners feeding ``trace``.
@@ -426,7 +470,7 @@ class SimulatorBase:
             # to the checkpoint's prefix and re-attach the listeners.
             if "access_trace" in cp:
                 self._access_trace.restore(cp["access_trace"])
-            self._install_trace_listeners(self._access_trace)
+            self._attach_trace(self._access_trace)
         if self._pc_trace_active():
             # The retired-PC stream is append-only and drain-invariant:
             # no prefix to rewind, just re-attach to the rebuilt core.
@@ -490,7 +534,7 @@ class SimulatorBase:
         self.pinout[:] = base["pinout"]
         self.pinout.extend(waypoint["pinout"])
         if self._trace_active():
-            self._install_trace_listeners(self._access_trace)
+            self._attach_trace(self._access_trace)
         if self._pc_trace_active():
             self._install_pc_listener(self._pc_trace)
 
@@ -502,7 +546,8 @@ class SimulatorBase:
         for cache in (self.dcache, self.icache):
             if cache is not None:
                 links += [(cache, "ram"), (cache, cache.PINOUT_HOOK),
-                          (cache, "access_listener")]
+                          (cache, "access_listener"),
+                          (cache, "trace_listener")]
         return links
 
     def _adopt_machine(self, core):

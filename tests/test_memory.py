@@ -224,6 +224,26 @@ def test_access_listener_sees_accesses():
     assert seen and seen[0][0] == 5 and seen[0][3] is True
 
 
+def test_trace_listener_sees_line_lifetime_events():
+    """Refills are writes, loads and dirty write-backs are reads; stores
+    and clean evictions report nothing."""
+    seen = []
+    _, cache = make_cache(size=128, ways=1, line=32)  # 4 sets, direct
+    cache.trace_listener = lambda *args: seen.append(args)
+    cache.access(0x40, 4, write=False)            # miss: refill + load
+    assert seen == [(2, 0, True), (2, 0, False)]
+    seen.clear()
+    cache.access(0x44, 4, write=True, value=7)    # store hit
+    cache.access(0x20, 4, write=True, value=7)    # store miss: refill
+    assert seen == [(1, 0, True)]
+    seen.clear()
+    cache.access(0xC0, 4, write=False)   # evicts dirty 0x40: wb first
+    assert seen == [(2, 0, False), (2, 0, True), (2, 0, False)]
+    seen.clear()
+    cache.access(0x40, 4, write=False)   # evicts clean 0xC0: no wb
+    assert seen == [(2, 0, True), (2, 0, False)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(
     st.tuples(

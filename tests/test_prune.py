@@ -22,6 +22,7 @@ from repro.injection.classify import FaultClass
 from repro.injection.faults import FaultSpec
 from repro.prune import FaultPruner, LifetimeTrace
 from repro.prune.pruner import (
+    DEAD_COLD_DETAIL,
     DEAD_OVERWRITE_DETAIL,
     DEAD_SILENT_DETAIL,
     DEAD_UNREACHABLE_DETAIL,
@@ -31,7 +32,10 @@ from repro.sim import registry
 from repro.workloads import WORKLOAD_NAMES
 
 WORKLOAD = "stringsearch"
-SAMPLES = 24
+#: Enough faults that every tier simulates some under dead pruning (at
+#: 24 the window rule resolved every rtl fault, and the composition
+#: checks below compared pruned records only).
+SAMPLES = 64
 SEED = 13
 WINDOW = 800
 
@@ -308,6 +312,118 @@ def test_window_none_keeps_every_verdict():
 
 
 # ----------------------------------------------------------------------
+# write-born (cold-line) verdicts (synthetic traces)
+# ----------------------------------------------------------------------
+
+#: One L1D line: the cell of the ``l1d.data`` trace.
+LINE_BITS = 8 * 32
+COLD = (FaultClass.MASKED, DEAD_COLD_DETAIL)
+
+
+def make_line_trace():
+    trace = LifetimeTrace()
+    trace.register("l1d.data", LINE_BITS, write_born=True)
+    return trace
+
+
+def line_fault(line, cycle):
+    return fault(line * LINE_BITS + 13, cycle, structure="l1d.data")
+
+
+def test_trace_write_born_cells():
+    trace = make_line_trace()
+    trace.record("l1d.data", 3, 40, True)
+    assert trace.unwritten_before("l1d.data", 3, 40)
+    assert not trace.unwritten_before("l1d.data", 3, 41)
+    assert trace.unwritten_before("l1d.data", 4, 10**9)  # never filled
+    other = LifetimeTrace()
+    other.restore(trace.snapshot())
+    assert other.unwritten_before("l1d.data", 4, 0)
+    # Register cells hold a value from reset: never write-born.
+    assert not make_trace().unwritten_before("regfile", 0, 10)
+
+
+@pytest.mark.parametrize("executed", [True, False],
+                         ids=["events_at_stop_executed", "pending"])
+def test_cold_rule_tick_convention_at_the_fill(executed):
+    """A refill stamped exactly at the injection cycle has run when the
+    faulty run pauses there on tiers that work before advancing the
+    clock (the line holds data: simulate), and is still pending on the
+    others (the refill will overwrite the flip)."""
+    trace = make_line_trace()
+    trace.record("l1d.data", 1, 100, True)
+    trace.record("l1d.data", 1, 500, False)
+    pruner = FaultPruner(trace, executed, "software")
+    assert pruner.classify(line_fault(1, 100)) == (
+        None if executed else COLD)
+    assert pruner.classify(line_fault(1, 99)) == COLD
+    assert pruner.classify(line_fault(1, 101)) is None
+
+
+@pytest.mark.parametrize("observation", ["pinout", "software", "arch"])
+def test_cold_rule_holds_at_every_observation_point(observation):
+    """An invalid line is outside every observation channel, the arch
+    point's coherent memory image included (it overlays valid dirty
+    lines only)."""
+    trace = make_line_trace()
+    trace.record("l1d.data", 1, 100, True)
+    trace.record("l1d.data", 1, 150, False)
+    trace.record("l1d.data", 2, 100, True)
+    for executed in (True, False):
+        for window in (None, 100):
+            if observation == "arch" and window:
+                continue
+            pruner = FaultPruner(trace, executed, observation,
+                                 window=window)
+            assert pruner.classify(line_fault(1, 50)) == COLD
+            # Never filled: invalid to the end of the run.
+            assert pruner.classify(line_fault(7, 50)) == COLD
+            assert pruner.classify(line_fault(7, 10**6)) == COLD
+            # Filled, then read: the line is live.
+            assert pruner.classify(line_fault(1, 120)) is None
+            # Filled, then never touched: only the behaviour-watching
+            # points may call it masked, not as a cold line.
+            assert pruner.classify(line_fault(2, 120)) == (
+                None if observation == "arch"
+                else (FaultClass.MASKED, DEAD_SILENT_DETAIL))
+
+
+def test_cold_rule_needs_a_shared_instant_not_a_horizon():
+    trace = make_line_trace()
+    trace.record("l1d.data", 1, 5000, True)  # first fill, next segment
+    segments = ([0, 4100], [0, 4000])
+    pruner = FaultPruner(trace, True, "software", segments=segments)
+    # The fill lies past the horizon (stop 4000), but the verdict is
+    # about the line at the injection instant, which is shared.
+    assert pruner.classify(line_fault(1, 100)) == COLD
+    assert pruner.classify(line_fault(2, 100)) == COLD
+    assert pruner.classify(line_fault(1, 4000)) == COLD
+    # Inside the drain window the faulty run did not drain: it may
+    # have filled lines the golden trace has not.
+    assert pruner.classify(line_fault(1, 4050)) is None
+    assert pruner.classify(line_fault(2, 4050)) is None
+    assert pruner.classify(line_fault(1, 4200)) == COLD
+
+
+@pytest.mark.parametrize("level", ["uarch", "rtl"])
+def test_line_capture_records_fills_first(level):
+    """The ``l1d`` trace scope records every refill as a write, and
+    each line's first event is its first refill."""
+    sim = registry.create_frontend(level, "sha").sim_factory()
+    trace = sim.enable_access_trace(scope="l1d")
+    sim.run_to_completion()
+    assert trace.structures() == ("l1d.data",)
+    cells = trace.cells("l1d.data")
+    assert cells
+    config = sim.dcache.config
+    assert max(cells) < config.sets * config.ways
+    streams = [trace.events("l1d.data", cell) for cell in cells]
+    assert all(stream[0][1] for stream in streams)
+    assert sum(w for stream in streams for _, w in stream) == \
+        sim.dcache.misses
+
+
+# ----------------------------------------------------------------------
 # the acceptance contract: dead == off, fault for fault, on every tier
 # ----------------------------------------------------------------------
 
@@ -317,6 +433,7 @@ def level_results(request):
     factory = registry.create_frontend(level, WORKLOAD).sim_factory
     off = run_campaign(factory, level, prune_mode="off")
     dead = run_campaign(factory, level, prune_mode="dead")
+    assert dead.simulated_count > 0, f"{level}: nothing left to simulate"
     return level, factory, off, dead
 
 
@@ -386,6 +503,55 @@ def test_window_pruning_exact_over_registry(level):
                 assert simulated.fclass is FaultClass.MASKED, workload
                 windowed += 1
     assert windowed, f"{level}: the window rule never fired"
+
+
+#: Per tier: a run-to-end mode and the windowed pinout mode of the
+#: front-end (rtl pinout keeps its default inject-near-consumption
+#: acceleration for l1d.data).
+L1D_MODES = {"uarch": ("avf", "pinout"), "rtl": ("sop", "pinout")}
+
+
+@pytest.mark.parametrize("level", sorted(L1D_MODES))
+def test_l1d_pruning_exact_over_registry(level):
+    """Every registry workload, l1d.data: dead == off class for class,
+    and each fault the cold-line rule pruned classifies Masked when
+    simulated."""
+    cold = 0
+    for workload in WORKLOAD_NAMES:
+        frontend = registry.create_frontend(level, workload)
+        for mode in L1D_MODES[level]:
+            off, dead = (
+                frontend.campaign("l1d.data", mode, samples=6, seed=SEED,
+                                  prune_mode=prune_mode).records
+                for prune_mode in ("off", "dead"))
+            assert [r.fclass for r in off] == \
+                [r.fclass for r in dead], (workload, mode)
+            for simulated, pruned in zip(off, dead):
+                if pruned.detail == DEAD_COLD_DETAIL:
+                    assert simulated.fclass is FaultClass.MASKED, \
+                        (workload, mode)
+                    cold += 1
+    assert cold, f"{level}: the cold-line rule never fired"
+
+
+def test_register_goldens_capture_what_they_did(monkeypatch):
+    """Only l1d.* campaigns trace L1D lines: a register campaign's
+    capture shape and golden pool key are the ones they were."""
+    monkeypatch.delenv("REPRO_STATIC_XCHECK", raising=False)
+
+    def campaign(structure, **kwargs):
+        return Campaign(None, structure, CampaignConfig(**kwargs),
+                        workload=WORKLOAD, level="rtl")
+
+    assert campaign("regfile")._capture_shape() == (True, False)
+    assert campaign("regfile").golden_key() == (
+        "rtl", WORKLOAD, False, (True, False), None, None, True, None)
+    assert campaign("cpsr", prune_mode="off")._capture_shape() == \
+        (False, False)
+    assert campaign("l1d.data")._capture_shape() == ("l1d", False)
+    assert campaign("l1d.tag")._capture_shape() == ("l1d", False)
+    assert campaign("l1d.data", prune_mode="off")._capture_shape() == \
+        (False, False)
 
 
 # ----------------------------------------------------------------------
