@@ -9,8 +9,8 @@ help:
 	@echo "targets:"
 	@echo "  test        tier-1 suite (tests/ + benchmarks/, what CI gates on)"
 	@echo "  bench       artifact-regenerating benches only (-> benchmarks/results/)"
-	@echo "  bench-smoke fig1 store+resume round trip, jobs 1 vs 2 (one reused"
-	@echo "              pool) per-cell class diff, prune off/dead classification"
+	@echo "  bench-smoke fig1 store+resume round trip, jobs 1 vs 2 (pooled grid,"
+	@echo "              4 golden runs) per-cell class diff, prune off/dead classification"
 	@echo "              diff (fig1 regfile, and the Fig. 3 l1d.data flow"
 	@echo "              on sha), prune static (capture-free dataflow pruning,"
 	@echo "              REPRO_STATIC_XCHECK sanitizer on) vs off class diffs"
@@ -53,17 +53,18 @@ lint:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
 
-# The resumable-campaign smoke: the same `run fig1` command twice -- the
-# first populates a fresh store (a --resume of an empty store is a fresh
-# start), the second resumes it and must re-run nothing -- then the
-# store summary.  The jobs leg re-runs the same cells at --jobs 1 and
-# diffs every cell's classes against the --jobs 2 store, whose cells
-# all ran on one reused worker pool: cross-jobs exactness with golden
-# payloads shipped once per worker.  The prune leg runs fig1's
-# stringsearch and sha cells with prune=off and diffs their classes
-# against prune=dead stores (the smoke store, and one for sha): dead
-# pruning exactness, window-bounded verdicts included, on two workloads
-# per tier.  The static legs re-run fig1's cells (and, below, the
+# The resumable-campaign smoke: the same `run fig1` command twice over
+# stringsearch and sha -- the first populates a fresh store (a --resume
+# of an empty store is a fresh start), the second resumes it and must
+# re-run nothing -- then the store summary.  The jobs leg re-runs the
+# same cells at --jobs 1 and diffs every cell's classes against the
+# --jobs 2 store, whose four (level, workload) golden runs were
+# captured by pool workers ahead of the fault stream and evicted as
+# their cells completed: cross-jobs exactness of the pooled grid
+# schedule.  The prune leg runs the same cells with prune=off and diffs
+# every cell's classes against the prune=dead smoke store: dead pruning
+# exactness, window-bounded verdicts included, on two workloads per
+# tier.  The static legs re-run fig1's cells (and, below, the
 # sweep's arch cell) with prune=static -- capture-free dataflow
 # pruning, sanitizer cross-check live -- and diff classes against the
 # prune=off stores: the static exactness contract at all three tiers.  The sweep-smoke scenario (2 levels x 2 prune modes)
@@ -94,19 +95,18 @@ bench:
 # `make bench` has not already written the artifact (CI runs `make
 # test` first, so the expensive cold campaign is not paid twice).
 bench-smoke:
-	rm -rf benchmarks/results/smoke_store benchmarks/results/smoke_prune \
-	  benchmarks/results/smoke_prune_sha
+	rm -rf benchmarks/results/smoke_store benchmarks/results/smoke_prune
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
-	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --set targets.workloads=stringsearch,sha --set faults.samples=20 \
 	  --jobs 2 --store benchmarks/results/smoke_store --resume
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
-	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --set targets.workloads=stringsearch,sha --set faults.samples=20 \
 	  --jobs 2 --store benchmarks/results/smoke_store --resume
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli store \
 	  benchmarks/results/smoke_store/*
 	rm -rf benchmarks/results/smoke_jobs1
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
-	  --set targets.workloads=stringsearch --set faults.samples=20 \
+	  --set targets.workloads=stringsearch,sha --set faults.samples=20 \
 	  --jobs 1 --store benchmarks/results/smoke_jobs1
 	for cell in benchmarks/results/smoke_store/*; do \
 	  $(PYTHON) tools/diff_store_classes.py \
@@ -117,21 +117,11 @@ bench-smoke:
 	  --set targets.workloads=stringsearch,sha --set faults.samples=20 \
 	  --jobs 2 --prune off \
 	  --store benchmarks/results/smoke_prune
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run fig1 \
-	  --set targets.workloads=sha --set faults.samples=20 \
-	  --jobs 2 --store benchmarks/results/smoke_prune_sha
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_store/uarch-stringsearch-regfile-pinout \
-	  benchmarks/results/smoke_prune/uarch-stringsearch-regfile-pinout
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_store/rtl-stringsearch-regfile-pinout \
-	  benchmarks/results/smoke_prune/rtl-stringsearch-regfile-pinout
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_prune_sha/uarch-sha-regfile-pinout \
-	  benchmarks/results/smoke_prune/uarch-sha-regfile-pinout
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_prune_sha/rtl-sha-regfile-pinout \
-	  benchmarks/results/smoke_prune/rtl-sha-regfile-pinout
+	for cell in benchmarks/results/smoke_store/*; do \
+	  $(PYTHON) tools/diff_store_classes.py \
+	    $$cell benchmarks/results/smoke_prune/$$(basename $$cell) \
+	    || exit 1; \
+	done
 	rm -rf benchmarks/results/smoke_fig3 benchmarks/results/smoke_fig3_off
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run \
 	  bench/workloads/fig3-l1d.toml \

@@ -675,6 +675,31 @@ def _assert_static_verdict(trace, fault, detail, events_at_stop_executed):
         )
 
 
+class CampaignSession:
+    """One campaign between its stages, from :meth:`Campaign.open` to
+    :meth:`Campaign.complete`: the result being filled, the store and
+    what it already held, the resolved chaos spec and -- once
+    :meth:`Campaign.prepare` ran -- the pruned verdicts."""
+
+    __slots__ = ("result", "store", "stored", "stored_incidents",
+                 "chaos", "started", "done", "pruned")
+
+    def __init__(self, result, store, stored, started):
+        self.result = result
+        self.store = store
+        self.stored = stored
+        self.stored_incidents = {}
+        self.chaos = None
+        self.started = started
+        #: The store held every fault: the result is complete.
+        self.done = False
+        self.pruned = {}
+
+    def close(self):
+        if self.store is not None:
+            self.store.close()
+
+
 class Campaign:
     """One SFI campaign against one structure of one simulator."""
 
@@ -978,14 +1003,18 @@ class Campaign:
         )
 
     def run(self, progress=None, store=None, resume=False,
-            golden_pool=None, worker_pool=None):
+            golden_pool=None):
         """Execute the campaign.  Returns a :class:`CampaignResult`.
 
         Six phases, identical at every level (DESIGN.md, "Campaign
-        phases"): :meth:`_resume_complete` (a fully completed store
-        rebuilds the result without building a simulator),
-        :meth:`_adopt_or_capture_golden`, :meth:`_sample_and_check`,
-        :meth:`_prune_phase`, :meth:`_execute` and :meth:`_merge`.
+        phases"), in three stages a grid scheduler
+        (:func:`repro.injection.executor.run_grid`) calls too:
+        **prepare** -- :meth:`open` (phase 1, :meth:`_resume_complete`:
+        a fully completed store rebuilds the result without building a
+        simulator), then :meth:`_adopt_or_capture_golden` (phase 2)
+        and :meth:`prepare` (phases 3-4, :meth:`_sample_and_check` and
+        :meth:`_prune_phase`); **execute** -- :meth:`_execute` (phase
+        5); **complete** -- :meth:`complete` (phase 6, :meth:`_merge`).
 
         With a :class:`~repro.injection.store.CampaignStore` every
         completed fault is appended durably; with ``resume=True`` faults
@@ -994,50 +1023,115 @@ class Campaign:
         the sample list is a pure function of the stored identity).
         ``progress`` then counts only the faults actually simulated this
         session.  ``golden_pool`` shares golden captures across
-        campaigns (see :meth:`_adopt_or_capture_golden`);
-        ``worker_pool`` (a :class:`~repro.injection.supervisor
-        .WorkerSupervisor` the caller owns and closes) shares worker
-        processes and the goldens shipped to them (see
-        :meth:`_execute`).
+        campaigns (see :meth:`_adopt_or_capture_golden`).
         """
         from repro.injection import supervisor
 
-        result = CampaignResult(self.workload, self.level, self.structure,
-                                self.config)
-        started = time.perf_counter()
-        stored, stored_incidents = {}, {}
-        if store is not None:
-            stored = store.begin(self.identity(), resume=resume)
-            stored_incidents = store.incidents()
-        # Resolved before the golden run, so a bad spec fails fast.
-        chaos = supervisor.resolve_chaos(self.config.chaos)
+        session = self.open(store, resume)
         try:
             with supervisor.GracefulShutdown() as shutdown:
-                if store is None or not self._resume_complete(
-                        result, stored, stored_incidents, store):
+                if not session.done:
                     sim, golden = self._adopt_or_capture_golden(
-                        result, golden_pool)
-                    specs = self._sample_and_check(
-                        sim, golden, result, store, stored,
-                        stored_incidents)
-                    on_disk = stored.keys() | stored_incidents.keys()
-                    pruned = self._prune_phase(sim, golden, specs, store,
-                                               on_disk)
-                    todo = [(i, spec) for i, spec in enumerate(specs)
-                            if i not in pruned and i not in on_disk]
-                    records, incidents = self._execute(
-                        sim, golden, todo, result, store, progress,
-                        shutdown.requested, chaos, worker_pool)
-                    # The store stays authoritative for what it holds.
-                    self._merge(result, len(specs),
-                                {**pruned, **records, **stored},
-                                {**stored_incidents, **incidents},
-                                shutdown.signame, store is not None)
-                result.total_seconds = time.perf_counter() - started
-                return result
+                        session.result, golden_pool)
+                    items = self.prepare(session, sim, golden)
+                    stream = self.fault_stream(session, golden,
+                                               progress=progress)
+                    self._execute(sim, items, stream, session.result,
+                                  shutdown.requested)
+                    self.complete(session, stream, shutdown.signame)
+                session.result.total_seconds = (time.perf_counter()
+                                                - session.started)
+                return session.result
         finally:
+            session.close()
+
+    def open(self, store=None, resume=False):
+        """Phase 1: start a :class:`CampaignSession` -- open ``store``
+        (resuming it when asked) and, when it already holds every
+        fault, rebuild the result from it (``session.done``)."""
+        from repro.injection import supervisor
+
+        started = time.perf_counter()
+        stored = ({} if store is None
+                  else store.begin(self.identity(), resume=resume))
+        session = CampaignSession(
+            CampaignResult(self.workload, self.level, self.structure,
+                           self.config),
+            store, stored, started)
+        try:
             if store is not None:
-                store.close()
+                session.stored_incidents = store.incidents()
+            # Resolved before the golden run, so a bad spec fails fast.
+            session.chaos = supervisor.resolve_chaos(self.config.chaos)
+            session.done = store is not None and self._resume_complete(
+                session.result, stored, session.stored_incidents, store)
+        except BaseException:
+            session.close()
+            raise
+        return session
+
+    def prepare(self, session, sim, golden):
+        """Phases 3-4 once the golden run is at hand: draw and check the
+        samples, prune, append the new verdicts.  Returns the faults
+        left to simulate, ``(fault_index, spec)`` pairs.  ``sim`` is
+        any simulator of this campaign's machine (its fault targets and
+        program are read, it is not run)."""
+        specs = self._sample_and_check(sim, golden, session.result,
+                                       session.store, session.stored,
+                                       session.stored_incidents)
+        on_disk = session.stored.keys() | session.stored_incidents.keys()
+        session.pruned = self._prune_phase(sim, golden, specs,
+                                           session.store, on_disk)
+        return [(i, spec) for i, spec in enumerate(specs)
+                if i not in session.pruned and i not in on_disk]
+
+    def fault_stream(self, session, golden, token=None, progress=None,
+                     on_done=None):
+        """The :class:`~repro.injection.supervisor.FaultStream` of the
+        faulty phase: this campaign's runner, failure budget, chaos
+        spec and store hooks.  ``token`` names the golden in the worker
+        pool (default: the parent-side golden's own name)."""
+        from repro.injection import supervisor
+
+        cfg = self.config
+        store = session.store
+        return supervisor.FaultStream(
+            supervisor.golden_token(golden) if token is None else token,
+            self._fault_runner(golden), retries=cfg.retries,
+            batch_timeout=cfg.batch_timeout,
+            # Per-fault wall budget feeding derived batch deadlines: a
+            # faulty run costs at most ~a golden run's wall time scaled
+            # by the watchdog factor; the supervisor applies a generous
+            # floor on top (adopted goldens report 0.0s here and fall
+            # straight to the floor).
+            fault_timeout_hint=(session.result.golden_seconds
+                                * cfg.hang_factor * 4),
+            chaos=session.chaos, progress=progress,
+            on_record=None if store is None else store.append,
+            on_incident=None if store is None else store.append_incident,
+            on_done=on_done,
+        )
+
+    def complete(self, session, stream, signame=None):
+        """Phase 6: fold the faulty phase's ``stream`` (``None`` when it
+        never ran) into the result, with the pruned and stored faults,
+        through :meth:`_merge`.  Returns the result."""
+        result = session.result
+        records, incidents = {}, {}
+        if stream is not None:
+            records = stream.records
+            incidents = {incident.index: incident
+                         for incident in stream.incidents}
+            result.retried_count = stream.requeued
+            result.batch_cycles = stream.runner.batch_cycles
+            result.batch_lane_peak_bytes = \
+                stream.runner.batch_lane_peak_bytes
+        # The store stays authoritative for what it holds.
+        self._merge(result, self.config.samples,
+                    {**session.pruned, **records, **session.stored},
+                    {**session.stored_incidents, **incidents},
+                    signame, session.store is not None)
+        return result
 
     def _adopt_or_capture_golden(self, result, golden_pool):
         """Phase 2: adopt a pooled golden run or capture one.
@@ -1063,15 +1157,35 @@ class Campaign:
                     sim, golden, result.golden_cycles,
                     result.golden_insts, result.golden_seconds)
             return sim, golden
+        self.adopt_golden(result, shared, paid=False)
+        return shared.sim, shared.golden
+
+    @staticmethod
+    def adopt_golden(result, shared, paid):
+        """Take a :class:`SharedGolden`'s summary into ``result``.
+
+        Only the campaign that ``paid`` for the capture keeps its cost
+        as ``golden_seconds``; an adopter spent nothing on it, so its
+        serial estimate (and hence speedup, ~1.0 at jobs=1) reflects
+        only work actually done in its session, exactly like resumed
+        records.
+        """
         result.golden_cycles = shared.cycles
         result.golden_insts = shared.insts
-        # This session spent nothing capturing the golden run -- the
-        # original capture's cost stays with the campaign that paid it,
-        # so the serial estimate (and hence speedup, ~1.0 at jobs=1)
-        # reflects only work actually done here, exactly like resumed
-        # records.
-        result.golden_seconds = 0.0
-        return shared.sim, shared.golden
+        result.golden_seconds = shared.seconds if paid else 0.0
+
+    def capture_golden(self):
+        """Phase 2 on its own, in a pool worker: capture the golden run
+        on a fresh simulator.  Returns ``(sim, payload, shared)``: a
+        fresh simulator for the faulty runs, the payload they read
+        (what :meth:`_fault_runner` keeps) and the whole golden as a
+        :class:`SharedGolden` without simulator, for the parent."""
+        result = CampaignResult(self.workload, self.level, self.structure,
+                                self.config)
+        golden = self._golden_phase(self.sim_factory(), result)
+        shared = SharedGolden(None, golden, result.golden_cycles,
+                              result.golden_insts, result.golden_seconds)
+        return self.sim_factory(), self._runner_golden(golden), shared
 
     def _prune_phase(self, sim, golden, specs, store, on_disk):
         """Phase 4: :meth:`_prune_partition`, with every verdict not
@@ -1082,14 +1196,11 @@ class Campaign:
                 store.append(i, pruned[i])
         return pruned
 
-    def _execute(self, sim, golden, items, result, store, progress, stop,
-                 chaos, pool):
+    def _execute(self, sim, items, stream, result, stop):
         """Phase 5: simulate ``items`` (``(fault_index, spec)`` pairs)
-        through :func:`repro.injection.executor.run_parallel`, which
-        stays in-process on ``sim`` at ``jobs=1`` or for a single
-        shard, and otherwise runs on ``pool`` (or a one-shot pool when
-        ``None``).  Returns ``(records, incidents)``, both keyed by
-        fault index.
+        into ``stream`` through :func:`repro.injection.executor
+        .run_parallel`, which stays in-process on ``sim`` at ``jobs=1``
+        or for a single shard, and otherwise runs on a one-shot pool.
 
         Failure model (see DESIGN.md, "Failure model & recovery
         semantics"): a fault that keeps killing, stalling or crashing
@@ -1102,51 +1213,33 @@ class Campaign:
         :class:`~repro.errors.CampaignInterrupted` (resumable); a
         second signal hard-kills.
         """
-        from repro.injection import executor, supervisor
+        from repro.injection import executor
 
         cfg = self.config
-        runner = self._fault_runner(golden)
-        records, incidents, result.retried_count, _, result.jobs = \
-            executor.run_parallel(
-                self.sim_factory, runner, items,
-                jobs=cfg.resolved_jobs(len(items)),
-                batch_size=cfg.batch_size, start_method=cfg.start_method,
-                progress=progress, fallback_sim=sim,
-                on_record=None if store is None else store.append,
-                on_incident=(None if store is None
-                             else store.append_incident),
-                stop=stop, retries=cfg.retries or supervisor.DEFAULT_RETRIES,
-                batch_timeout=cfg.batch_timeout,
-                # Per-fault wall budget feeding derived batch deadlines:
-                # a faulty run costs at most ~a golden run's wall time
-                # scaled by the watchdog factor; the supervisor applies
-                # a generous floor on top (adopted goldens report 0.0s
-                # here and fall straight to the floor).
-                fault_timeout_hint=(result.golden_seconds
-                                    * cfg.hang_factor * 4),
-                chaos=chaos, pool=pool,
-            )
-        result.batch_cycles = runner.batch_cycles
-        result.batch_lane_peak_bytes = runner.batch_lane_peak_bytes
-        return records, {incident.index: incident
-                         for incident in incidents}
+        _, result.jobs = executor.run_parallel(
+            stream, self.sim_factory, items,
+            jobs=cfg.resolved_jobs(len(items)),
+            batch_size=cfg.batch_size, start_method=cfg.start_method,
+            fallback_sim=sim, stop=stop,
+        )
+
+    def _runner_golden(self, golden):
+        """What the faulty phase reads of ``golden``: all that travels
+        to workers.  The access log, the lifetime and PC traces (and
+        hw_state outside arch mode) stay with the parent.  The
+        checkpoint cache ships whole, so workers share the same
+        (bounded) restart points and boundary digests."""
+        keep = ["cache", "pinout_keys", "output"]
+        if self.config.observation == "arch":
+            keep.append("hw_state")
+        return {key: golden[key] for key in keep}
 
     def _fault_runner(self, golden):
-        """The picklable :class:`FaultRunner` for the faulty phase.
-
-        Only what the faulty phase reads travels to workers -- the
-        access log (and hw_state outside arch mode) stays local.  The
-        checkpoint cache ships whole, so workers share the same
-        (bounded) restart points and boundary digests.
-        """
+        """The picklable :class:`FaultRunner` for the faulty phase."""
         cfg = self.config
         hang_deadline = int(golden["end_cycle"] * cfg.hang_factor
                             + (cfg.window or 0) + 20_000)
-        runner_golden = {key: golden[key]
-                         for key in ("cache", "pinout_keys", "output")}
-        if cfg.observation == "arch":
-            runner_golden["hw_state"] = golden["hw_state"]
-        return FaultRunner(cfg, runner_golden, hang_deadline)
+        return FaultRunner(cfg, self._runner_golden(golden), hang_deadline)
 
     @staticmethod
     def _merge(result, count, records, incidents, signame, stored):

@@ -104,8 +104,10 @@ class CheckpointCache:
     # ------------------------------------------------------------------
 
     def capture(self, sim, stop_cycle=None):
-        """Checkpoint ``sim`` right now and retain it (LRU-bounded)."""
-        cp = sim.checkpoint()
+        """Checkpoint ``sim`` right now and retain it (LRU-bounded).
+        The checkpoint has no pinout: :meth:`_retain` reads the suffix
+        straight off ``sim``."""
+        cp = sim.checkpoint(pinout=False)
         self._retain(cp, cp["cycle"] if stop_cycle is None else stop_cycle,
                      sim)
         return cp
@@ -149,10 +151,12 @@ class CheckpointCache:
         while True:
             stop = sim.cycle + self.stride
             if spacing:
-                status = self._capture_waypoints(sim, cp, stop, spacing)
+                # The boundary's pinout is the one kept so far.
+                base = {"ram": cp["ram"], "pinout": self._pinout}
+                status = self._capture_waypoints(sim, base, stop, spacing)
                 if status is not RunStatus.STOPPED:
                     return status
-            status, cp = sim.checkpoint_at(stop)
+            status, cp = sim.checkpoint_at(stop, pinout=False)
             if cp is None:
                 return status
             self._retain(cp, stop, sim)
@@ -189,10 +193,9 @@ class CheckpointCache:
         self.stops.append(stop_cycle)
         self.digests.append(sim.state_digest() if self.collect_digests
                             else None)
-        self.pinout_lens.append(len(cp["pinout"]))
+        self.pinout_lens.append(len(sim.pinout))
+        self._pinout.extend(sim.pinout[len(self._pinout):])
         cp = dict(cp)
-        pinout = cp.pop("pinout")
-        self._pinout.extend(pinout[len(self._pinout):])
         if index:
             cp["ram_pages"] = page_delta(cp.pop("ram"),
                                          self._entries[0]["ram"])
@@ -330,7 +333,7 @@ class CheckpointCache:
             # round-trip of the replayed machine is that state, because
             # checkpoint content is architectural and the replayed
             # content equals the golden content at this boundary.
-            sim.restore(sim.checkpoint())
+            sim.restore(sim.checkpoint(pinout=False))
         return self.pinout_lens[target], restore_cycle
 
     # ------------------------------------------------------------------

@@ -674,6 +674,15 @@ class CampaignStore:
         return f"CampaignStore({str(self.path)!r})"
 
 
+def as_store(store, store_format=None):
+    """``store`` as a :class:`CampaignStore`: a directory path opens
+    one (``store_format`` picks the format of a fresh one); a store or
+    ``None`` passes through."""
+    if store is None or isinstance(store, CampaignStore):
+        return store
+    return CampaignStore(store, store_format=store_format)
+
+
 def load_store(path):
     """Read one store: ``(manifest, {index: FaultRecord})``."""
     store = CampaignStore(path)

@@ -46,6 +46,7 @@ production.
 
 import copy
 import difflib
+import math
 import multiprocessing
 import os
 import signal
@@ -302,8 +303,9 @@ class GracefulShutdown:
 # ----------------------------------------------------------------------
 
 def _worker_main(tasks, results):
-    """One supervised worker: hold goldens, serve batches until told to
-    stop (or until the supervisor's end of ``tasks`` closes).
+    """One supervised worker: hold goldens, serve captures and batches
+    until told to stop (or until the supervisor's end of ``tasks``
+    closes).
 
     Tasks arrive on the ``tasks`` pipe:
 
@@ -311,15 +313,20 @@ def _worker_main(tasks, results):
       (the read-only golden data a :class:`~repro.injection.campaign
       .FaultRunner` needs); the worker builds one simulator for it and
       keeps both until ``("forget", token)``;
+    * ``("capture", task_id, token, campaign)`` -- run the campaign's
+      golden phase here (:meth:`~repro.injection.campaign.Campaign
+      .capture_golden`), keep the resulting payload as golden
+      ``token`` and send the capture back;
     * ``("batch", batch_id, token, runner, chaos, entries)`` -- run
       ``entries`` (``(fault_index, spec, attempt)``) against golden
       ``token`` with the cell's golden-less runner and chaos spec;
     * ``None`` -- shut down.
 
     Results go back on the worker's own ``results`` pipe as
-    ``("done", ...)`` or ``("error", ...)`` -- a worker survives an
-    in-run exception and keeps serving (the supervisor decides about
-    retries), so only process death or a deadline kill costs a respawn.
+    ``("golden", ...)``, ``("done", ...)`` or ``("error", ...)`` -- a
+    worker survives an in-run exception and keeps serving (the
+    supervisor decides about retries), so only process death or a
+    deadline kill costs a respawn.
     """
     # The parent broadcasts SIGINT to the group on Ctrl-C; workers must
     # outlive it so the drain can finish.  SIGTERM keeps its default
@@ -343,6 +350,16 @@ def _worker_main(tasks, results):
             continue
         if kind == "forget":
             goldens.pop(task[1], None)
+            continue
+        if kind == "capture":
+            _, task_id, token, campaign = task
+            try:
+                sim, golden, reply = campaign.capture_golden()
+                goldens[token] = (sim, golden)
+                message = ("golden", task_id, golden, reply)
+            except Exception as exc:
+                message = ("error", task_id, f"{type(exc).__name__}: {exc}")
+            results.send(message)
             continue
         _, batch_id, token, runner, chaos, entries = task
         try:
@@ -371,13 +388,69 @@ def _worker_main(tasks, results):
 # supervisor side
 # ----------------------------------------------------------------------
 
+class FaultStream:
+    """One campaign's faulty runs on the pool, and what came back.
+
+    ``runner`` is the campaign's :class:`~repro.injection.campaign
+    .FaultRunner`, whose golden payload the workers hold as ``token``;
+    every batch carries the runner without its golden.  ``retries``,
+    the deadline rule (an explicit ``batch_timeout``, else derived from
+    ``fault_timeout_hint`` seconds per fault), ``chaos`` and the
+    callbacks are the campaign's own, so several streams can share one
+    pool and keep their meaning: ``progress(done, total, record)``,
+    ``on_record(index, record)`` (exactly once per classified fault),
+    ``on_incident(incident)`` and ``on_done(stream)`` (once every fault
+    is resolved).  Fault indices -- and so chaos indices -- are the
+    campaign's own.
+    """
+
+    def __init__(self, token, runner, retries=DEFAULT_RETRIES,
+                 batch_timeout=None, fault_timeout_hint=None, chaos=None,
+                 progress=None, on_record=None, on_incident=None,
+                 on_done=None):
+        self.token = token
+        self.runner = runner
+        self.shell = copy.copy(runner)
+        self.shell.golden = None
+        self.retries = max(1, retries or DEFAULT_RETRIES)
+        self.batch_timeout = batch_timeout
+        self.hint = fault_timeout_hint or 0.0
+        self.chaos = chaos
+        self.progress = progress
+        self.on_record = on_record
+        self.on_incident = on_incident
+        self.on_done = on_done
+        #: Fault index -> FaultRecord of every fault that classified.
+        self.records = {}
+        #: Quarantined faults (:class:`~repro.injection.classify
+        #: .Incident`).
+        self.incidents = []
+        #: Fault executions re-dispatched after a failure.
+        self.requeued = 0
+        self.failures = {}
+        self.done = 0
+        self.total = 0
+
+    def resolved(self, count, record):
+        """``count`` more faults are resolved; ``record`` the last."""
+        self.done += count
+        if self.progress is not None:
+            self.progress(self.done, self.total, record)
+        if self.done == self.total and self.on_done is not None:
+            self.on_done(self)
+
+
 class _Batch:
-    """One unit of dispatch: entries plus its retry/deadline state."""
+    """One unit of fault dispatch: entries plus retry/deadline state."""
 
-    __slots__ = ("id", "entries", "not_before", "deadline")
+    __slots__ = ("id", "stream", "entries", "not_before", "deadline")
 
-    def __init__(self, batch_id, entries, not_before=0.0):
+    #: Dispatch rank: captures go first, they unblock fault work.
+    RANK = 1
+
+    def __init__(self, batch_id, stream, entries, not_before=0.0):
         self.id = batch_id
+        self.stream = stream
         self.entries = entries
         #: Earliest monotonic instant this batch may be dispatched
         #: (retry backoff).
@@ -385,6 +458,47 @@ class _Batch:
         #: Monotonic instant the batch is declared hung (set at
         #: dispatch).
         self.deadline = 0.0
+
+    @property
+    def token(self):
+        return self.stream.token
+
+    def message(self):
+        stream = self.stream
+        return ("batch", self.id, stream.token, stream.shell,
+                stream.chaos, self.entries)
+
+    def timeout(self):
+        stream = self.stream
+        if stream.batch_timeout is not None:
+            return stream.batch_timeout
+        return max(_MIN_BATCH_TIMEOUT, stream.hint * len(self.entries) * 8)
+
+
+class _Capture:
+    """One golden capture task: a campaign whose golden phase a worker
+    runs and keeps as ``token``."""
+
+    __slots__ = ("id", "token", "campaign", "on_golden", "attempts",
+                 "not_before", "deadline")
+
+    RANK = 0
+
+    def __init__(self, task_id, token, campaign, on_golden, attempts=0):
+        self.id = task_id
+        self.token = token
+        self.campaign = campaign
+        self.on_golden = on_golden
+        self.attempts = attempts
+        self.not_before = 0.0
+        self.deadline = math.inf
+
+    def message(self):
+        return ("capture", self.id, self.token, self.campaign)
+
+    def timeout(self):
+        # A golden run has no deadline: only a dead worker fails it.
+        return math.inf
 
 
 class _Worker:
@@ -397,14 +511,17 @@ class _Worker:
         self.proc = proc
         self.tasks = tasks
         self.results = results
-        #: Golden tokens shipped to this process since it was spawned.
+        #: Golden tokens shipped to (or captured by) this process since
+        #: it was spawned.
         self.goldens = set()
 
 
-def _golden_token(golden):
-    """The pool's name for a golden payload: the identity of its
-    checkpoint cache, which every campaign sharing the golden run
-    shares (the pool pins the cache while the token lives)."""
+def golden_token(golden):
+    """The pool's name for a golden payload captured in the parent:
+    the identity of its checkpoint cache, which every campaign sharing
+    the golden run shares (the pool pins the cache while the token
+    lives).  Goldens captured by a worker get a token from
+    :meth:`WorkerSupervisor.capture` instead."""
     return id(golden["cache"])
 
 
@@ -414,17 +531,21 @@ class WorkerSupervisor:
     One pool serves every campaign of a scenario run
     (:class:`~repro.scenario.runner.ScenarioRunner` opens it, a lone
     campaign opens a one-shot one): workers are spawned lazily, up to
-    the ``jobs`` a campaign asks for, and closed by :meth:`close`.  A
-    golden payload is shipped once per (worker, golden run); a
-    campaign's batches carry only its small per-cell runner config.  A
-    respawned worker starts empty and is re-shipped what it needs.
+    the ``jobs`` asked for, and closed by :meth:`close`.  Work is
+    queued, then driven by one event loop (:meth:`serve`): golden
+    captures (:meth:`capture`) and the fault batches of any number of
+    :class:`FaultStream`\\ s (:meth:`submit`).  A golden payload is
+    shipped once per (worker, golden run) -- a worker that captured a
+    golden holds it already; a batch carries only its small per-cell
+    runner config.  A respawned worker starts empty and is re-shipped
+    what it needs.
 
-    Unlike ``multiprocessing.Pool``, every batch is tracked from
+    Unlike ``multiprocessing.Pool``, every task is tracked from
     dispatch to completion: a worker that dies or overruns its deadline
-    is respawned and its batch re-sharded, so a campaign can never
-    deadlock waiting on a result that no process will produce.  Each
-    worker has its own task and result pipes, so a killed worker can
-    never wedge a lock the others need.
+    is respawned and its work retried, so a campaign can never deadlock
+    waiting on a result that no process will produce.  Each worker has
+    its own task and result pipes, so a killed worker can never wedge a
+    lock the others need.
     """
 
     def __init__(self, start_method=None):
@@ -434,7 +555,11 @@ class WorkerSupervisor:
         #: token -> ``(sim_factory, golden)`` a worker may need shipped
         #: (holding the golden pins the token's checkpoint cache).
         self._goldens = {}
-        self._next_batch_id = 0
+        #: Queued captures and batches, and worker id -> ``(task,
+        #: worker)`` for the ones running.
+        self._pending = []
+        self._inflight = {}
+        self._next_task_id = 0
         self._next_worker_id = 0
 
     def __enter__(self):
@@ -473,6 +598,13 @@ class WorkerSupervisor:
         worker.tasks.send(("golden", token) + self._goldens[token])
         worker.goldens.add(token)
 
+    def _dispatch(self, worker, task):
+        """Hand ``task`` to ``worker``; a capture task is the golden's
+        first holder, so only batches may need a shipment."""
+        if isinstance(task, _Batch) and task.token not in worker.goldens:
+            self._ship(worker, task.token)
+        worker.tasks.send(task.message())
+
     def _retire(self, worker):
         """Stop tracking ``worker``, killing it if it still runs."""
         self._workers.pop(worker.id, None)
@@ -490,10 +622,9 @@ class WorkerSupervisor:
             proc.join(0.5)
         proc.join(0.0)
 
-    def forget(self, golden):
-        """Drop a golden payload no later campaign will use, here and
-        in every worker holding it."""
-        token = _golden_token(golden)
+    def forget(self, token):
+        """Drop golden ``token`` (see :func:`golden_token`): no later
+        campaign will use it, here or in any worker holding it."""
         if self._goldens.pop(token, None) is None:
             return
         for worker in list(self._workers.values()):
@@ -517,140 +648,96 @@ class WorkerSupervisor:
             worker.proc.join(max(0.0, deadline - time.monotonic()))
             self._retire(worker)
         self._goldens.clear()
+        self._pending.clear()
+        self._inflight.clear()
+
+    # -- queueing work -------------------------------------------------
+
+    def _task_id(self):
+        self._next_task_id += 1
+        return self._next_task_id
+
+    def publish(self, token, sim_factory, golden):
+        """Make golden payload ``golden`` shippable as ``token``."""
+        self._goldens.setdefault(token, (sim_factory, golden))
+
+    def capture(self, campaign, on_golden):
+        """Queue ``campaign``'s golden phase as a worker task and return
+        the token the captured golden will go by.
+
+        The capturing worker keeps the golden (as if shipped); the
+        parent gets ``campaign.capture_golden()``'s reply through
+        ``on_golden(token, reply)`` from inside :meth:`serve`, and the
+        payload is published for shipping to other workers.  A worker
+        that dies mid-capture costs a retry; a capture that raises, or
+        dies ``DEFAULT_RETRIES`` times, raises here.
+        """
+        task_id = self._task_id()
+        token = ("capture", task_id)
+        self._pending.append(_Capture(task_id, token, campaign, on_golden))
+        return token
+
+    def submit(self, stream, entry_batches):
+        """Queue ``stream``'s ``entry_batches`` (lists of ``(index,
+        spec, attempt)``); :meth:`serve` runs them."""
+        for entries in entry_batches:
+            if entries:
+                stream.total += len(entries)
+                self._pending.append(
+                    _Batch(self._task_id(), stream, list(entries)))
 
     # -- the supervision loop ------------------------------------------
 
-    def run(self, sim_factory, runner, entry_batches, jobs,
-            retries=DEFAULT_RETRIES, batch_timeout=None,
-            fault_timeout_hint=None, chaos=None, progress=None,
-            on_record=None, on_incident=None, stop=None):
-        """Execute one campaign's ``entry_batches`` (lists of
-        ``(index, spec, attempt)``) on up to ``jobs`` workers.
+    def serve(self, jobs, stop=None):
+        """Run queued work on up to ``jobs`` workers until none is
+        left -- including work the callbacks queue along the way.
 
-        ``runner`` is the campaign's :class:`~repro.injection.campaign
-        .FaultRunner`: its golden payload (with ``sim_factory``) is
-        what workers are shipped once, the rest travels per batch, and
-        the lane-engine accounting the workers report is added to it.
-        ``batch_timeout`` is an explicit per-batch wall-clock budget;
-        ``None`` derives one from ``fault_timeout_hint`` (seconds per
-        fault, already scaled by ``hang_factor``).
-
-        Returns ``(records, incidents, requeued, drained)``:
-        ``records`` maps fault index -> FaultRecord for every fault
-        that classified; ``incidents`` lists the quarantined ones;
-        ``requeued`` counts fault executions re-dispatched after a
-        failure; ``drained`` is True when ``stop()`` interrupted the
-        run (in-flight batches were finished and flushed, queued ones
-        abandoned).
+        Returns True when ``stop()`` requested a drain: in-flight tasks
+        were finished and flushed, everything queued (then or later)
+        abandoned.
         """
         jobs = max(1, jobs)
-        retries = max(1, retries or DEFAULT_RETRIES)
-        hint = fault_timeout_hint or 0.0
-
-        def timeout_for(batch):
-            if batch_timeout is not None:
-                return batch_timeout
-            return max(_MIN_BATCH_TIMEOUT, hint * len(batch.entries) * 8)
-
-        token = _golden_token(runner.golden)
-        self._goldens.setdefault(token, (sim_factory, runner.golden))
-        # What travels with every batch: the runner minus its golden.
-        shell = copy.copy(runner)
-        shell.golden = None
-
-        total = sum(len(b) for b in entry_batches)
-        pending = [self._make_batch(list(b)) for b in entry_batches if b]
-        records = {}
-        incidents = []
-        failures = {}
-        requeued = 0
-        done = 0
+        pending, inflight = self._pending, self._inflight
         drained = False
-        inflight = {}   # worker_id -> (_Batch, _Worker)
-
-        def requeue(entries):
-            nonlocal requeued
-            requeued += len(entries)
-            bumped = [(i, spec, attempt + 1)
-                      for i, spec, attempt in entries]
-            worst = max(attempt for _, _, attempt in bumped)
-            delay = min(_BACKOFF_BASE * (2 ** min(worst, 6)), _BACKOFF_CAP)
-            pending.append(self._make_batch(bumped,
-                                            time.monotonic() + delay))
-
-        def fail(batch, kind, detail):
-            nonlocal done
-            for index, _, _ in batch.entries:
-                failures[index] = failures.get(index, 0) + 1
-            if len(batch.entries) > 1:
-                # Bisect: halves re-run independently, so repeated
-                # failures converge on the single offending fault while
-                # its innocent batch-mates complete normally.
-                mid = (len(batch.entries) + 1) // 2
-                requeue(batch.entries[:mid])
-                requeue(batch.entries[mid:])
-                return
-            index, spec, _ = batch.entries[0]
-            if failures[index] >= retries:
-                incident = Incident(index, spec, kind, detail,
-                                    attempts=failures[index])
-                incidents.append(incident)
-                if on_incident is not None:
-                    on_incident(incident)
-                done += 1
-                if progress is not None:
-                    progress(done, total, None)
-                return
-            requeue(batch.entries)
-
-        def idle_worker():
-            """An idle live worker, preferring one holding the golden."""
-            idle = [w for w in self._workers.values()
-                    if w.id not in inflight and w.proc.is_alive()]
-            return next((w for w in idle if token in w.goldens),
-                        idle[0] if idle else None)
-
         try:
             while pending or inflight:
                 now = time.monotonic()
                 if stop is not None and not drained and stop():
-                    # Drain: finish what is running, abandon the queue.
                     drained = True
+                if drained:
+                    # Drain: finish what is running, abandon the queue.
                     pending.clear()
                 # Reap workers that died while idle (nothing to retry).
                 for worker in [w for w in self._workers.values()
                                if w.id not in inflight
                                and not w.proc.is_alive()]:
                     self._retire(worker)
-                # Dispatch ready batches onto idle (spawning) workers.
-                for batch in [b for b in sorted(pending,
-                                                key=lambda b: b.id)
-                              if b.not_before <= now]:
+                # Dispatch ready tasks onto idle (spawning) workers.
+                for task in sorted((t for t in pending
+                                    if t.not_before <= now),
+                                   key=lambda t: (t.RANK, t.id)):
                     if len(inflight) >= jobs:
                         break
-                    worker = idle_worker()
+                    worker = self._idle_worker(task.token)
                     if worker is None:
                         if len(self._workers) >= jobs:
                             break
                         worker = self._spawn()
                     try:
-                        if token not in worker.goldens:
-                            self._ship(worker, token)
-                        worker.tasks.send(("batch", batch.id, token, shell,
-                                           chaos, batch.entries))
+                        self._dispatch(worker, task)
                     except OSError:
                         # Died between the liveness check and the send:
-                        # nothing ran, so the batch is not charged.
+                        # nothing ran, so the task is not charged.
                         self._retire(worker)
                         continue
-                    pending.remove(batch)
-                    batch.deadline = now + timeout_for(batch)
-                    inflight[worker.id] = (batch, worker)
+                    pending.remove(task)
+                    task.deadline = now + task.timeout()
+                    inflight[worker.id] = (task, worker)
                 # Wait for the next event: a result, a deadline, or a
                 # backoff expiry -- bounded so liveness checks and the
                 # stop flag are polled regularly.
-                horizon = [b.deadline for b, _ in inflight.values()]
-                horizon += [b.not_before for b in pending]
+                horizon = [t.deadline for t, _ in inflight.values()]
+                horizon += [t.not_before for t in pending]
                 wait = _POLL_MAX
                 if horizon:
                     wait = min(wait, max(min(horizon) - now, _POLL_MIN))
@@ -660,56 +747,118 @@ class WorkerSupervisor:
                         [w.results for _, w in inflight.values()], wait)
                 elif pending:
                     time.sleep(wait)
-                for batch, worker in [entry for entry in inflight.values()
-                                      if entry[1].results in ready]:
+                for task, worker in [entry for entry in inflight.values()
+                                     if entry[1].results in ready]:
                     try:
                         message = worker.results.recv()
                     except (EOFError, OSError):
                         continue  # it died: the liveness check fails it
-                    if message[1] != batch.id:  # pragma: no cover
+                    if message[1] != task.id:  # pragma: no cover
                         continue
                     del inflight[worker.id]
-                    if message[0] == "done":
-                        _, _, batch_records, cycles, peak = message
-                        runner.batch_cycles += cycles
-                        runner.batch_lane_peak_bytes = max(
-                            runner.batch_lane_peak_bytes, peak)
-                        for (index, _, _), record in zip(batch.entries,
-                                                         batch_records):
-                            records[index] = record
-                            if on_record is not None:
-                                on_record(index, record)
-                        done += len(batch_records)
-                        if progress is not None:
-                            progress(done, total, batch_records[-1])
-                    else:
-                        fail(batch, "exception", message[2])
+                    self._receive(task, worker, message)
                 # Liveness and deadlines for everything still in flight.
                 now = time.monotonic()
-                for batch, worker in list(inflight.values()):
+                for task, worker in list(inflight.values()):
                     if not worker.proc.is_alive():
                         del inflight[worker.id]
                         self._retire(worker)
-                        fail(batch, "crash",
-                             f"worker died (exit code "
-                             f"{worker.proc.exitcode}) while running "
-                             f"{len(batch.entries)} fault(s)")
-                    elif now >= batch.deadline:
+                        work = ("a golden capture"
+                                if isinstance(task, _Capture)
+                                else f"{len(task.entries)} fault(s)")
+                        self._fail(task, "crash",
+                                   f"worker died (exit code "
+                                   f"{worker.proc.exitcode}) while "
+                                   f"running {work}")
+                    elif now >= task.deadline:
                         del inflight[worker.id]
                         self._retire(worker)
-                        fail(batch, "hang",
-                             f"batch overran its "
-                             f"{timeout_for(batch):.1f}s deadline")
-            return records, incidents, requeued, drained
+                        self._fail(task, "hang",
+                                   f"batch overran its "
+                                   f"{task.timeout():.1f}s deadline")
+            return drained
         finally:
-            # Only an exception leaves batches in flight: their workers
+            # Only an exception leaves tasks in flight: their workers
             # are mid-run on work nobody will collect.
             for _, worker in list(inflight.values()):
                 self._retire(worker)
+            inflight.clear()
+            pending.clear()
 
-    def _make_batch(self, entries, not_before=0.0):
-        self._next_batch_id += 1
-        return _Batch(self._next_batch_id, entries, not_before)
+    def _idle_worker(self, token):
+        """An idle live worker, preferring one holding golden ``token``."""
+        idle = [w for w in self._workers.values()
+                if w.id not in self._inflight and w.proc.is_alive()]
+        return next((w for w in idle if token in w.goldens),
+                    idle[0] if idle else None)
+
+    def _receive(self, task, worker, message):
+        """Fold one worker reply into its task's owner."""
+        if isinstance(task, _Capture):
+            if message[0] != "golden":
+                raise RuntimeError(
+                    f"golden capture of {task.campaign.workload} at "
+                    f"{task.campaign.level} failed: {message[2]}")
+            _, _, golden, reply = message
+            self._goldens[task.token] = (task.campaign.sim_factory, golden)
+            worker.goldens.add(task.token)
+            task.on_golden(task.token, reply)
+            return
+        if message[0] != "done":
+            self._fail(task, "exception", message[2])
+            return
+        _, _, batch_records, cycles, peak = message
+        stream = task.stream
+        runner = stream.runner
+        runner.batch_cycles += cycles
+        runner.batch_lane_peak_bytes = max(runner.batch_lane_peak_bytes,
+                                           peak)
+        for (index, _, _), record in zip(task.entries, batch_records):
+            stream.records[index] = record
+            if stream.on_record is not None:
+                stream.on_record(index, record)
+        stream.resolved(len(batch_records), batch_records[-1])
+
+    def _fail(self, task, kind, detail):
+        """A task's execution failed: retry, bisect or quarantine."""
+        if isinstance(task, _Capture):
+            task.attempts += 1
+            if task.attempts >= DEFAULT_RETRIES:
+                raise RuntimeError(
+                    f"golden capture of {task.campaign.workload} at "
+                    f"{task.campaign.level} failed {task.attempts} "
+                    f"times: {detail}")
+            self._pending.append(task)
+            return
+        stream = task.stream
+        for index, _, _ in task.entries:
+            stream.failures[index] = stream.failures.get(index, 0) + 1
+        if len(task.entries) > 1:
+            # Bisect: halves re-run independently, so repeated
+            # failures converge on the single offending fault while
+            # its innocent batch-mates complete normally.
+            mid = (len(task.entries) + 1) // 2
+            self._requeue(stream, task.entries[:mid])
+            self._requeue(stream, task.entries[mid:])
+            return
+        index, spec, _ = task.entries[0]
+        if stream.failures[index] >= stream.retries:
+            incident = Incident(index, spec, kind, detail,
+                                attempts=stream.failures[index])
+            stream.incidents.append(incident)
+            if stream.on_incident is not None:
+                stream.on_incident(incident)
+            stream.resolved(1, None)
+            return
+        self._requeue(stream, task.entries)
+
+    def _requeue(self, stream, entries):
+        stream.requeued += len(entries)
+        bumped = [(i, spec, attempt + 1) for i, spec, attempt in entries]
+        worst = max(attempt for _, _, attempt in bumped)
+        delay = min(_BACKOFF_BASE * (2 ** min(worst, 6)), _BACKOFF_CAP)
+        self._pending.append(_Batch(self._task_id(), stream, bumped,
+                                    time.monotonic() + delay))
 
 
 # ----------------------------------------------------------------------
@@ -770,10 +919,10 @@ def run_serial_supervised(sim, runner, items, retries=DEFAULT_RETRIES,
     return records, incidents, requeued, drained
 
 
-def run_in_process(sim, runner, items, retries=DEFAULT_RETRIES,
-                   chaos=None, progress=None, on_record=None,
-                   on_incident=None, stop=None):
-    """In-process execution with the lane engine when it applies.
+def run_in_process(sim, stream, items, stop=None):
+    """Run ``items`` (``(fault_index, spec)``) of ``stream`` on ``sim``
+    in this process, with the lane engine when it applies, and fold
+    the outcome into the stream.  Returns ``drained``.
 
     The lane path (:meth:`~repro.injection.campaign
     .FaultRunner.uses_lanes`) runs the whole batch through the lane
@@ -782,20 +931,24 @@ def run_in_process(sim, runner, items, retries=DEFAULT_RETRIES,
     propagates as it always did.  Everything else goes through
     :func:`run_serial_supervised`.
     """
-    if chaos is None and runner.uses_lanes(sim, len(items)):
+    runner = stream.runner
+    if stream.chaos is None and runner.uses_lanes(sim, len(items)):
         if stop is not None and stop():
-            return {}, [], 0, True
-        records = {}
+            return True
         batch = runner.run_many(sim, [spec for _, spec in items])
         for done, ((index, _), record) in enumerate(zip(items, batch), 1):
-            records[index] = record
-            if on_record is not None:
-                on_record(index, record)
-            if progress is not None:
-                progress(done, len(items), record)
-        return records, [], 0, False
-    return run_serial_supervised(
-        sim, runner, items, retries=retries, chaos=chaos,
-        progress=progress, on_record=on_record, on_incident=on_incident,
-        stop=stop,
+            stream.records[index] = record
+            if stream.on_record is not None:
+                stream.on_record(index, record)
+            if stream.progress is not None:
+                stream.progress(done, len(items), record)
+        return False
+    records, incidents, requeued, drained = run_serial_supervised(
+        sim, runner, items, retries=stream.retries, chaos=stream.chaos,
+        progress=stream.progress, on_record=stream.on_record,
+        on_incident=stream.on_incident, stop=stop,
     )
+    stream.records.update(records)
+    stream.incidents.extend(incidents)
+    stream.requeued += requeued
+    return drained

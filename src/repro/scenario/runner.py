@@ -12,10 +12,14 @@ The runner owns everything a grid run can share:
   through :class:`repro.injection.campaign.Campaign`'s golden pool: a
   ``fig1``-style grid pays one golden run per (level, workload) instead
   of one per cell;
-* **worker processes** -- one :class:`~repro.injection.supervisor
-  .WorkerSupervisor` per :meth:`ScenarioRunner.run`: pooled cells
-  reuse its workers, and each golden payload travels to a worker once,
-  not once per cell;
+* **worker processes** -- when a cell with faults asks for
+  ``jobs > 1``, :meth:`ScenarioRunner.run` runs the grid as one
+  schedule (:func:`repro.injection.executor.run_grid`) on one
+  :class:`~repro.injection.supervisor.WorkerSupervisor`: workers
+  capture the golden runs and every cell's faults share one stream,
+  so no worker waits on a golden capture or on another cell's last
+  fault, and each golden payload reaches a worker once, not once per
+  cell.  At ``jobs = 1`` cells run one after the other, in process;
 * **cell results** -- cached by cell identity, so re-running a grid
   (or two grids overlapping on a cell) never repeats a campaign within
   one runner.
@@ -46,9 +50,6 @@ class ScenarioRunner:
         self._frontends = {}
         self._golden_pool = {}
         self._cell_cache = {}
-        #: The worker pool of the :meth:`run` in progress (``None``
-        #: outside one: a lone ``run_cell`` opens a one-shot pool).
-        self._workers = None
 
     # ------------------------------------------------------------------
 
@@ -105,7 +106,7 @@ class ScenarioRunner:
         else:
             result = front.campaign(
                 cell.structure, mode=cell.mode,
-                golden_pool=self._golden_pool, worker_pool=self._workers,
+                golden_pool=self._golden_pool,
                 **self._campaign_kwargs(cell))
         self._cell_cache[identity] = result
         return result
@@ -133,38 +134,96 @@ class ScenarioRunner:
 
     def run(self, cells=None):
         """Run the whole grid (or an explicit cell list) and return a
-        :class:`~repro.scenario.resultset.ResultSet`."""
+        :class:`~repro.scenario.resultset.ResultSet`.
+
+        When a cell with a fault budget asks for ``jobs > 1``, the grid
+        runs as one pool schedule (:meth:`_run_grid`); otherwise cell by
+        cell, in this process (:meth:`_run_cells`).
+        """
         if cells is None:
             cells = self.spec.cells()
         if not cells:
             raise ScenarioError("targets",
                                 "the grid expanded to zero cells")
+        if any(self._jobs(cell) > 1 for cell in cells if cell.samples):
+            return ResultSet(self._run_grid(cells))
+        return ResultSet(self._run_cells(cells))
+
+    @staticmethod
+    def _jobs(cell):
+        if cell.jobs is None:
+            from repro.injection.executor import default_jobs
+
+            return default_jobs()
+        return cell.jobs
+
+    def _run_cells(self, cells):
+        """One cell after the other through :meth:`run_cell`."""
         remaining = {}
         for cell in cells:
             pair = (cell.level, cell.workload)
             remaining[pair] = remaining.get(pair, 0) + 1
+        items = []
+        for i, cell in enumerate(cells):
+            result = self.run_cell(cell)
+            items.append((cell, result))
+            # Evict the pair's pooled goldens once nothing else will
+            # share them -- peak memory stays one machine's worth of
+            # capture variants, not the whole grid's.
+            pair = (cell.level, cell.workload)
+            remaining[pair] -= 1
+            if remaining[pair] == 0:
+                for key in list(self._golden_pool):
+                    if key[:2] == pair:
+                        del self._golden_pool[key]
+            if self.progress is not None:
+                self.progress(i + 1, len(cells), cell, result)
+        return items
+
+    def _run_grid(self, cells):
+        """The whole grid as one schedule on one worker pool
+        (:func:`repro.injection.executor.run_grid`), as many workers as
+        the largest ``jobs`` asks for: goldens are captured by workers
+        and every cell's faults share one stream.  Cached and
+        golden-only cells run here first."""
+        from repro.injection.executor import run_grid
+        from repro.injection.store import as_store
         from repro.injection.supervisor import WorkerSupervisor
 
-        items = []
-        self._workers = WorkerSupervisor()
-        try:
-            for i, cell in enumerate(cells):
-                result = self.run_cell(cell)
-                items.append((cell, result))
-                # Evict the pair's pooled goldens (here and in the
-                # workers) once nothing else will share them -- peak
-                # memory stays one machine's worth of capture variants,
-                # not the whole grid's.
-                pair = (cell.level, cell.workload)
-                remaining[pair] -= 1
-                if remaining[pair] == 0:
-                    for key in list(self._golden_pool):
-                        if key[:2] == pair:
-                            shared = self._golden_pool.pop(key)
-                            self._workers.forget(shared.golden)
+        done = 0
+        plans, waiting = [], {}
+        for cell in cells:
+            identity = cell.identity()
+            if cell.samples > 0 and identity not in self._cell_cache:
+                if identity not in waiting:
+                    kwargs = self._campaign_kwargs(cell)
+                    store = as_store(kwargs.pop("store"),
+                                     kwargs.pop("store_format"))
+                    resume = kwargs.pop("resume")
+                    front = self._frontend(cell.level, cell.workload)
+                    plans.append((front.new_campaign(
+                        cell.structure, mode=cell.mode, **kwargs),
+                        store, resume))
+                    waiting[identity] = []
+                waiting[identity].append(cell)
+                continue
+            result = self.run_cell(cell)
+            done += 1
+            if self.progress is not None:
+                self.progress(done, len(cells), cell, result)
+        identities = list(waiting)
+
+        def complete(i, result):
+            nonlocal done
+            self._cell_cache[identities[i]] = result
+            for cell in waiting[identities[i]]:
+                done += 1
                 if self.progress is not None:
-                    self.progress(i + 1, len(cells), cell, result)
-        finally:
-            self._workers.close()
-            self._workers = None
-        return ResultSet(items)
+                    self.progress(done, len(cells), cell, result)
+
+        if plans:
+            jobs = max(self._jobs(group[0]) for group in waiting.values())
+            with WorkerSupervisor() as pool:
+                run_grid(plans, jobs, pool, on_complete=complete)
+        return [(cell, self._cell_cache[cell.identity()])
+                for cell in cells]

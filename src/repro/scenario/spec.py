@@ -616,7 +616,12 @@ class ScenarioSpec:
                               for axis, values in self.sweep)
             head += f", sweep {axes}"
         values = {knob.key: getattr(self, knob.key) for knob in KNOBS}
-        if self.window == "scaled":
+        modes = {(cell.level, cell.mode) for cell in cells}
+        if not any(sim_registry.get(level).frontend_class().MODES[mode][1]
+                   for level, mode in modes):
+            # No cell is windowed: every faulty run goes to program end.
+            values["window"] = None
+        elif self.window == "scaled":
             from repro.injection.campaign import SCALED_WINDOW
 
             values["window"] = SCALED_WINDOW

@@ -20,6 +20,7 @@ looked up by level name through :mod:`repro.sim.registry`.
 """
 
 import enum
+import io
 import pickle
 import zlib
 
@@ -35,9 +36,17 @@ def _crc(obj):
     Snapshots are plain containers of bytes/ints/numpy arrays, so their
     pickling is deterministic within one platform+interpreter -- which is
     the scope a digest is ever compared across (parent process and its
-    campaign workers).
+    campaign workers).  The pickler runs without its memo (``fast``):
+    with it the bytes depend on which equal objects are *the same*
+    object, and a pinout restored from an unpickled checkpoint (its
+    own ``"wb"`` strings) would checksum differently from the golden
+    run's (interned ones) in an equal state.
     """
-    return zlib.crc32(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(obj)
+    return zlib.crc32(buffer.getbuffer())
 
 
 class RunStatus(enum.Enum):
@@ -355,8 +364,15 @@ class SimulatorBase:
         finally:
             core.draining = False
 
-    def checkpoint(self):
-        """Drain the pipeline and capture a deterministic restart point."""
+    def checkpoint(self, pinout=True):
+        """Drain the pipeline and capture a deterministic restart point.
+
+        ``pinout=False`` leaves the published pinout out: restoring
+        such a checkpoint keeps the pinout as it stands, so it only
+        serves a round trip on this very machine (the golden capture,
+        which keeps boundary pinouts itself, and seek's canonicalizing
+        round trip) -- not a fork restored after the machine ran on.
+        """
         self.drain()
         core = self.core
         self._trace_pause += 1
@@ -367,10 +383,11 @@ class SimulatorBase:
                 "pc": self._restart_pc(),
                 "ram": self.ram.snapshot(),
                 "syscalls": core.syscalls.snapshot(),
-                "pinout": list(self.pinout),
                 "mispredicts": core.mispredicts,
                 "exited": core.exited,
             }
+            if pinout:
+                cp["pinout"] = list(self.pinout)
             cp.update(self._capture_state())
             if self._trace_active() and self._trace_in_checkpoints:
                 cp["access_trace"] = self._access_trace.snapshot()
@@ -378,8 +395,10 @@ class SimulatorBase:
             self._trace_pause -= 1
         return cp
 
-    def checkpoint_at(self, stop_cycle, max_cycles=5_000_000):
-        """Advance to ``stop_cycle`` and checkpoint there.
+    def checkpoint_at(self, stop_cycle, max_cycles=5_000_000,
+                      pinout=True):
+        """Advance to ``stop_cycle`` and checkpoint there (``pinout``
+        as for :meth:`checkpoint`).
 
         Returns ``(status, checkpoint)``; the checkpoint is ``None``
         when the run ended (exit/fault/watchdog) before the stop cycle.
@@ -389,7 +408,7 @@ class SimulatorBase:
         status = self.run(stop_cycle=stop_cycle, max_cycles=max_cycles)
         if status is not RunStatus.STOPPED:
             return status, None
-        return status, self.checkpoint()
+        return status, self.checkpoint(pinout=pinout)
 
     def state_digest(self):
         """Content digest of the complete deterministic machine state.
@@ -455,7 +474,8 @@ class SimulatorBase:
             core = self.core
             self.ram.restore(cp["ram"])
             core.syscalls.restore(cp["syscalls"])
-            self.pinout[:] = list(cp["pinout"])
+            if "pinout" in cp:
+                self.pinout[:] = cp["pinout"]
             self._restore_state(cp)
             core.cycle = cp["cycle"]
             core.icount = cp["icount"]

@@ -86,11 +86,28 @@ class Frontend:
         """Whether inject-near-consumption acceleration defaults to on."""
         return False
 
+    def new_campaign(self, structure, mode="pinout", samples=100,
+                     seed=2017, window=USE_SCALED_WINDOW,
+                     distribution="normal", *, accelerate=None, **extra):
+        """The :class:`~repro.injection.campaign.Campaign` that
+        :meth:`campaign` runs, not yet run."""
+        from repro.injection.campaign import Campaign
+
+        if accelerate is None:
+            accelerate = self._default_accelerate(structure, mode)
+        config = self.make_config(
+            mode, samples, seed=seed, window=window,
+            distribution=distribution, accelerate=accelerate, **extra,
+        )
+        return Campaign(
+            self.sim_factory, structure, config,
+            workload=self.workload, level=self.LEVEL,
+        )
+
     def campaign(self, structure, mode="pinout", samples=100, seed=2017,
                  window=USE_SCALED_WINDOW, distribution="normal", *,
                  accelerate=None, progress=None, store=None, resume=False,
-                 store_format=None, golden_pool=None, worker_pool=None,
-                 **extra):
+                 store_format=None, golden_pool=None, **extra):
         """Run one campaign.  ``structure`` is e.g. ``regfile`` or
         ``l1d.data``.
 
@@ -107,27 +124,15 @@ class Frontend:
         :meth:`repro.injection.campaign.Campaign.run`; pool sharers
         must agree on toolchain and simulator configuration, which any
         pool confined to one :class:`ScenarioRunner`/study does.
-        ``worker_pool`` (a caller-owned :class:`~repro.injection
-        .supervisor.WorkerSupervisor`) keeps worker processes across
-        campaigns.
         """
-        from repro.injection.campaign import Campaign
-        from repro.injection.store import CampaignStore
+        from repro.injection.store import as_store
 
-        if accelerate is None:
-            accelerate = self._default_accelerate(structure, mode)
-        config = self.make_config(
-            mode, samples, seed=seed, window=window,
-            distribution=distribution, accelerate=accelerate, **extra,
-        )
-        runner = Campaign(
-            self.sim_factory, structure, config,
-            workload=self.workload, level=self.LEVEL,
-        )
-        if store is not None and not isinstance(store, CampaignStore):
-            store = CampaignStore(store, store_format=store_format)
-        return runner.run(progress=progress, store=store, resume=resume,
-                          golden_pool=golden_pool, worker_pool=worker_pool)
+        campaign = self.new_campaign(
+            structure, mode, samples, seed, window, distribution,
+            accelerate=accelerate, **extra)
+        return campaign.run(progress=progress,
+                            store=as_store(store, store_format),
+                            resume=resume, golden_pool=golden_pool)
 
     def golden_run(self):
         """One fault-free run; returns the simulator for inspection."""

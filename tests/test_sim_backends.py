@@ -162,6 +162,26 @@ def test_state_digest_round_trip_property(level_sim):
         assert other.state_digest() == want, (level, trial, cp_cycle)
 
 
+def test_state_digest_ignores_object_identity(level_sim):
+    """A checkpoint that travelled through pickle (as it does to pool
+    workers) restores into a machine whose digest equals the straight
+    run's, even once the run appends live transactions to the
+    restored pinout: digests hash content, not which equal objects
+    are shared."""
+    import pickle
+
+    level, factory = level_sim
+    sim = factory()
+    sim.run(stop_cycle=2000)
+    cp = pickle.loads(pickle.dumps(sim.checkpoint()))
+    sim.run(stop_cycle=4000)
+    other = factory()
+    other.restore(cp)
+    other.run(stop_cycle=4000)
+    assert len(other.pinout) > len(cp["pinout"]) > 0, level
+    assert other.state_digest() == sim.state_digest(), level
+
+
 def test_state_digest_sees_injected_faults(level_sim):
     """A digest must differ once live state is flipped (else early-stop
     could mask a real corruption)."""
