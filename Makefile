@@ -16,8 +16,8 @@ help:
 	@echo "              REPRO_STATIC_XCHECK sanitizer on) vs off class diffs"
 	@echo "              at all three tiers, sweep-scenario store+resume round"
 	@echo "              trip (+ CSV artifact), binary vs jsonl store-format"
-	@echo "              class diff, arch lanes=8 and rtl lanes=4 vs lanes=1"
-	@echo "              class diffs (repro.batch), REPRO_CHAOS"
+	@echo "              class diff, lanes=8 vs lanes=1 class diffs at all"
+	@echo "              three tiers (repro.batch), REPRO_CHAOS"
 	@echo "              degraded-completion leg (crash+hang injection,"
 	@echo "              quarantine, no-op resume) + warm-start speedup artifact"
 	@echo "  bench-oracle one round of every bench/ workload on the held-out"
@@ -71,13 +71,12 @@ bench:
 # then exercises the scenario layer end to end the same way: run twice
 # with store+resume, export the ResultSet CSV (a CI artifact), and diff
 # each level's prune=off vs prune=dead store class-by-class (the
-# exactness contract, via the sweep path).  The lanes legs re-run the
-# sweep's cells with the lane engine into fresh stores and
-# diff each prune mode's classes against a scalar store (the
-# cross-lane exactness contract, via the CLI path): arch at
-# execution.lanes=8 against the sweep store, rtl -- not part of the
-# sweep preset, so run scalar first -- at execution.lanes=4 (the spec
-# still rejects lanes>1 on the non-batchable uarch tier).  The jsonl
+# exactness contract, via the sweep path).  The lanes leg re-runs the
+# sweep's cells at all three tiers with execution.lanes=8 (the lane
+# walk) into a fresh store and diffs every cell's classes against its
+# scalar store (the cross-lane exactness contract, via the CLI path):
+# the sweep store for arch and uarch, and for rtl -- not part of the
+# sweep preset -- a scalar rtl run made first.  The jsonl
 # leg re-runs the sweep's arch cells with execution.store_format=jsonl
 # and diffs them against the (binary, format-2) sweep store -- the
 # cross-format exactness contract, read straight off the mmap on the
@@ -182,29 +181,19 @@ bench-smoke:
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_jsonl/arch-stringsearch-regfile-pinout-prune=dead \
 	  benchmarks/results/smoke_sweep/arch-stringsearch-regfile-pinout-prune=dead
-	rm -rf benchmarks/results/smoke_lanes
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \
-	  --set targets.levels=arch --set execution.lanes=8 \
-	  --set execution.store=benchmarks/results/smoke_lanes
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_lanes/arch-stringsearch-regfile-pinout-prune=off \
-	  benchmarks/results/smoke_sweep/arch-stringsearch-regfile-pinout-prune=off
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_lanes/arch-stringsearch-regfile-pinout-prune=dead \
-	  benchmarks/results/smoke_sweep/arch-stringsearch-regfile-pinout-prune=dead
-	rm -rf benchmarks/results/smoke_rtl benchmarks/results/smoke_rtl_lanes
+	rm -rf benchmarks/results/smoke_rtl benchmarks/results/smoke_lanes
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \
 	  --set targets.levels=rtl \
 	  --set execution.store=benchmarks/results/smoke_rtl
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \
-	  --set targets.levels=rtl --set execution.lanes=4 \
-	  --set execution.store=benchmarks/results/smoke_rtl_lanes
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_rtl_lanes/rtl-stringsearch-regfile-pinout-prune=off \
-	  benchmarks/results/smoke_rtl/rtl-stringsearch-regfile-pinout-prune=off
-	$(PYTHON) tools/diff_store_classes.py \
-	  benchmarks/results/smoke_rtl_lanes/rtl-stringsearch-regfile-pinout-prune=dead \
-	  benchmarks/results/smoke_rtl/rtl-stringsearch-regfile-pinout-prune=dead
+	  --set targets.levels=arch,uarch,rtl --set execution.lanes=8 \
+	  --set execution.store=benchmarks/results/smoke_lanes
+	for cell in benchmarks/results/smoke_lanes/*; do \
+	  scalar=benchmarks/results/smoke_sweep/$$(basename $$cell); \
+	  test -d $$scalar || \
+	    scalar=benchmarks/results/smoke_rtl/$$(basename $$cell); \
+	  $(PYTHON) tools/diff_store_classes.py $$scalar $$cell || exit 1; \
+	done
 	rm -rf benchmarks/results/smoke_chaos
 	REPRO_CHAOS='segv@2,hang*@5' \
 	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \

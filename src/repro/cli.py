@@ -30,8 +30,8 @@ is an exact alias of ``--set execution.<key>=VALUE``: same parsing, same
 validation, same error naming the field (``--store``'s path alone is
 taken verbatim, never TOML-coerced).  ``--jobs N|auto`` fans the
 faulty runs of each campaign out over a process pool, ``--lanes N``
-batches the faulty runs of arch- and rtl-tier campaigns
-(``repro.batch``), ``--prune {off,dead,static}`` picks fault pruning
+lets up to N faulty runs share one golden seek (``repro.batch``, every
+tier), ``--prune {off,dead,static}`` picks fault pruning
 -- lifetime-aware from the golden access trace (``dead``) or
 capture-free from static dataflow analysis of the program text
 (``static``, :mod:`repro.staticcheck`) -- and ``--store DIR`` /
@@ -288,10 +288,8 @@ def _cmd_list(_args):
     print("abstraction levels (targets.levels / sweep.level):")
     for spec in registry.levels():
         sim_class = spec.simulator_class()
-        batchable = getattr(sim_class, "BATCHABLE", False)
-        tag = "  [lane-batchable]" if batchable else ""
-        if static_prune_available(spec.name):
-            tag += "  [static-prunable]"
+        tag = ("  [static-prunable]"
+               if static_prune_available(spec.name) else "")
         print(f"  {spec.name:<14} {spec.description}{tag}")
         modes = sorted(spec.frontend_class().MODES)
         structures = sorted(sim_class.INJECTABLE)

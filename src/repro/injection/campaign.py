@@ -189,9 +189,8 @@ class CampaignConfig:
         #: ``multiprocessing`` start method (``None`` = best available).
         self.start_method = start_method
         #: Lane count for the faulty phase (``repro.batch``): ``N > 1``
-        #: batches up to N same-segment faulty runs on backends whose
-        #: ``BATCHABLE`` flag allows it (arch: one shared seek; rtl:
-        #: one lane-array pass).  Execution-only: records are
+        #: lets up to N faulty runs of one checkpoint segment share a
+        #: golden seek, on every tier.  Execution-only: records are
         #: bit-identical to the scalar path, so it stays out of
         #: :meth:`identity`.
         self.batch_lanes = batch_lanes
@@ -299,16 +298,11 @@ class CampaignResult:
         #: excluded from this run's serial estimate, so a resumed
         #: campaign's speedup reflects only work actually done here.
         self.resumed_seconds = 0.0
-        #: Global cycles the lane engine stepped in-process (``0`` on
-        #: the scalar path).  The hardware-independent denominator of
-        #: the batch-speedup bench: N lanes sharing one global step
-        #: make this ~``simulated_cycles / N`` for well-packed groups.
+        #: Cycles the lane walk stepped, walk plus tails (``0`` on the
+        #: scalar path).  The hardware-independent denominator of the
+        #: batch-speedup bench: the walk replays each stretch of the
+        #: golden run once per seek, not once per fault.
         self.batch_cycles = 0
-        #: High-water mark of private copy-on-write page bytes the lane
-        #: store materialized in-process (``0`` on the scalar path).
-        #: Sub-linear in lane count by design: lanes share the golden
-        #: image and pay only for pages they actually diverge on.
-        self.batch_lane_peak_bytes = 0
         #: Quarantined faults (:class:`~repro.injection.classify
         #: .Incident`): sampled but never classified -- they spent
         #: their retry budget killing, stalling or crashing their runs.
@@ -484,21 +478,16 @@ class FaultRunner:
         self.config = config
         self.golden = golden
         self.hang_deadline = hang_deadline
-        #: Global lane-engine cycles this runner actually stepped --
-        #: the batched analogue of per-record replay+sim cycles,
-        #: accumulated by :meth:`run_many` for the speedup bench.
+        #: Lane-walk cycles this runner actually stepped -- the batched
+        #: analogue of per-record replay+sim cycles, accumulated by
+        #: :meth:`run_many` for the speedup bench.
         self.batch_cycles = 0
-        #: Peak private COW page bytes across lane-engine runs -- the
-        #: memory half of the bench (dense per-lane copies would be
-        #: ``lanes x footprint``; the paged store stays well under).
-        self.batch_lane_peak_bytes = 0
 
-    def uses_lanes(self, sim, count):
-        """Whether ``count`` faults run on the lane engine
-        (:mod:`repro.batch`): ``batch_lanes > 1`` on a ``BATCHABLE``
-        backend, with more than one fault to share a pass."""
-        return (self.config.batch_lanes > 1 and type(sim).BATCHABLE
-                and count > 1)
+    def uses_lanes(self, count):
+        """Whether ``count`` faults run on the lane walk
+        (:mod:`repro.batch`): ``batch_lanes > 1``, with more than one
+        fault to share a seek."""
+        return self.config.batch_lanes > 1 and count > 1
 
     def run_many(self, sim, specs):
         """Execute ``specs`` in fault-sample order, on the lane engine
@@ -506,15 +495,13 @@ class FaultRunner:
         Records are bit-identical either way -- the cross-lane
         equivalence suites pin that.
         """
-        if not self.uses_lanes(sim, len(specs)):
+        if not self.uses_lanes(len(specs)):
             return [self.run_one(sim, fault) for fault in specs]
         from repro.batch import LaneEngine
 
         engine = LaneEngine(self, sim, self.config.batch_lanes)
         records = engine.run(specs)
         self.batch_cycles += engine.batch_cycles
-        self.batch_lane_peak_bytes = max(
-            self.batch_lane_peak_bytes, engine.peak_lane_bytes)
         return records
 
     def run_one(self, sim, fault):
@@ -541,7 +528,7 @@ class FaultRunner:
         ``reached`` is False when the golden run ended first (the fault
         lands in dead time).  ``replay_cycles`` is what the caller spent
         getting ``sim`` here and ``run_start`` when it began; the
-        scalar path and the arch lane walk both end every fault here.
+        scalar path and the lane walk both end every fault here.
         """
         if not reached:
             return FaultRecord(
@@ -575,9 +562,7 @@ class FaultRunner:
         Returns ``(trace_base, restore_cycle, reached)``.  ``reached``
         is False when the restored run ended first (drain jitter near
         program end): a fault at ``cycle`` lands in dead time and
-        cannot corrupt anything.  The rtl lane engine shares this
-        preamble for a whole group, up to its earliest injection
-        instant; the arch lane walk seeks through it.
+        cannot corrupt anything.  The lane walk seeks through it.
         """
         trace_base, restore_cycle = self.golden["cache"].seek(
             sim, cycle, warm=self.config.warm_start,
@@ -721,9 +706,10 @@ class Campaign:
         ``"l1d"`` the L1D line cells instead, for campaigns that target
         an ``l1d.*`` array (register events could never decide one of
         their faults, and line events cost a register campaign's golden
-        run for nothing); ``pc`` -- capture the retired-PC stream (the
-        static pruner's anchor).  ``prune_mode="static"`` needs only the
-        PC stream; the sanitizer (``REPRO_STATIC_XCHECK=1``) forces both
+        run for nothing), and ``False`` for ``l1i.*`` campaigns, whose
+        faults no trace decides; ``pc`` -- capture the retired-PC stream
+        (the static pruner's anchor).  ``prune_mode="static"`` needs only
+        the PC stream; the sanitizer (``REPRO_STATIC_XCHECK=1``) forces both
         on so every static verdict can be checked against the dynamic
         trace -- extra captures never change classification provenance.
         """
@@ -742,7 +728,9 @@ class Campaign:
         # unsanitized shape, so the env var can never alter what the
         # partitioner sees.
         access = mode == "dead" or (xcheck and pc)
-        if access and self.structure.startswith("l1d."):
+        if self.structure.startswith("l1i."):
+            access = False
+        elif access and self.structure.startswith("l1d."):
             access = "l1d"
         return access, pc
 
@@ -955,7 +943,7 @@ class Campaign:
                             fault, fclass, detail, pruned="static"
                         )
                     continue
-            verdict = pruner.classify(fault)
+            verdict = None if pruner is None else pruner.classify(fault)
             if verdict is not None:
                 fclass, detail = verdict
                 pruned_records[i] = FaultRecord(fault, fclass, detail,
@@ -1124,8 +1112,6 @@ class Campaign:
                          for incident in stream.incidents}
             result.retried_count = stream.requeued
             result.batch_cycles = stream.runner.batch_cycles
-            result.batch_lane_peak_bytes = \
-                stream.runner.batch_lane_peak_bytes
         # The store stays authoritative for what it holds.
         self._merge(result, self.config.samples,
                     {**session.pruned, **records, **session.stored},

@@ -20,9 +20,10 @@ LATENT     no      hardware state corrupted, output clean
                    (HVF-style "arch" observation point only)
 ========== ======= ==========================================
 
-:func:`classify_outcome` is the one rule set: the scalar
-:class:`~repro.injection.campaign.FaultRunner` and both lane backends
-(:mod:`repro.batch`) call it, so a new observation mode is one edit.
+:func:`classify_outcome` is the one rule set: every faulty run, scalar
+or lane walk (:mod:`repro.batch`), ends in
+:meth:`~repro.injection.campaign.FaultRunner.inject_and_classify`, which
+calls it, so a new observation mode is one edit.
 """
 
 import enum
@@ -165,10 +166,10 @@ def classify_outcome(status, observation, golden, output=b"",
     ``hw_state``, ``pinout_keys``); ``output`` is the faulty program
     output and ``machine_fault`` the latched fault of a ``FAULT`` stop.
     ``hw_state`` and ``pinout_suffix`` are zero-argument callables --
-    the faulty :func:`~repro.injection.observation.hardware_state`
-    digest and the faulty pinout keys from ``trace_base`` on -- called
-    only under the observation point that reads them, because both
-    cost a full memory image or key list.
+    the faulty :func:`~repro.injection.observation
+    .hardware_state_digest` and the faulty pinout keys from
+    ``trace_base`` on -- called only under the observation point that
+    reads them, because both cost a full memory image or key list.
     """
     if status is RunStatus.FAULT:
         return FaultClass.DUE, str(machine_fault)

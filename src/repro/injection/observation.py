@@ -50,15 +50,6 @@ def arch_digest(sim):
     return (tuple(state["regs"]), state["flags"])
 
 
-def hardware_state(regs, flags, image):
-    """The hardware-visible state digest from its parts: registers
-    r0-r14, the packed flags and the coherent memory image.  The lane
-    backends build it from lane state, the scalar path from a
-    simulator (:func:`hardware_state_digest`)."""
-    return ((tuple(int(r) for r in regs), flags),
-            zlib.crc32(image) & 0xFFFFFFFF)
-
-
 def hardware_state_digest(sim):
     """The full hardware-visible state: registers + coherent memory.
 
@@ -69,5 +60,4 @@ def hardware_state_digest(sim):
         cache for cache in (getattr(sim, "dcache", None),)
         if cache is not None
     )
-    regs, flags = arch_digest(sim)
-    return hardware_state(regs, flags, coherent_image(sim.ram, caches))
+    return arch_digest(sim), memory_digest(sim.ram, caches)

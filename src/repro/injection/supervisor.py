@@ -377,8 +377,7 @@ def _worker_main(tasks, results):
                     chaos.fire(index, attempt)
                     records.append(runner.run_one(sim, spec))
             message = ("done", batch_id, records,
-                       runner.batch_cycles - base_cycles,
-                       runner.batch_lane_peak_bytes)
+                       runner.batch_cycles - base_cycles)
         except Exception as exc:
             message = ("error", batch_id, f"{type(exc).__name__}: {exc}")
         results.send(message)
@@ -807,12 +806,9 @@ class WorkerSupervisor:
         if message[0] != "done":
             self._fail(task, "exception", message[2])
             return
-        _, _, batch_records, cycles, peak = message
+        _, _, batch_records, cycles = message
         stream = task.stream
-        runner = stream.runner
-        runner.batch_cycles += cycles
-        runner.batch_lane_peak_bytes = max(runner.batch_lane_peak_bytes,
-                                           peak)
+        stream.runner.batch_cycles += cycles
         for (index, _, _), record in zip(task.entries, batch_records):
             stream.records[index] = record
             if stream.on_record is not None:
@@ -932,7 +928,7 @@ def run_in_process(sim, stream, items, stop=None):
     :func:`run_serial_supervised`.
     """
     runner = stream.runner
-    if stream.chaos is None and runner.uses_lanes(sim, len(items)):
+    if stream.chaos is None and runner.uses_lanes(len(items)):
         if stop is not None and stop():
             return True
         batch = runner.run_many(sim, [spec for _, spec in items])

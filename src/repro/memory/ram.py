@@ -91,8 +91,12 @@ class RAM:
         return page_delta(self.data, base, page)
 
     def restore_delta(self, base, delta):
-        """Become ``base`` with the :meth:`page_delta` pages laid over."""
-        self.data = apply_delta(base, delta)
+        """Become ``base`` with the :meth:`page_delta` pages laid over,
+        in this RAM's own buffer."""
+        data = self.data
+        data[:] = base
+        for start, blob in delta:
+            data[start:start + len(blob)] = blob
 
     def __repr__(self):
         return f"RAM({self.size:#x} bytes)"

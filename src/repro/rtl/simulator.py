@@ -25,11 +25,6 @@ class RTLSim(SimulatorBase):
 
     LEVEL = "rtl"
 
-    #: Register-file/CPSR faults batch through the rtl lane backend
-    #: (:mod:`repro.batch.rtl`); cache-array faults fall back to the
-    #: scalar path inside the engine.
-    BATCHABLE = True
-
     INJECTABLE = {
         "regfile": "register-file macro (56 x 32 flops: user + banked/spare)",
         "cpsr": "NZCV status flops",

@@ -151,12 +151,11 @@ JOBS_HELP = (
 )
 
 LANES_HELP = (
-    "fault lanes per campaign (repro.batch): N > 1 batches N faulty "
-    "runs of the arch tier (one shared seek) or the rtl tier (one "
-    "lane-array pass); "
-    "per-fault classes are bit-identical to the scalar path.  Rejected "
-    "for scenarios targeting non-batchable levels (uarch) (default: "
-    "the spec's execution.lanes)"
+    "faults per shared seek (repro.batch): N > 1 lets up to N faulty "
+    "runs of one checkpoint segment share a golden seek, walking on "
+    "from one instant to the next, at every tier; per-fault classes "
+    "are bit-identical to the scalar path (default: the spec's "
+    "execution.lanes)"
 )
 
 RETRIES_HELP = (

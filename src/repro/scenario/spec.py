@@ -410,15 +410,6 @@ class ScenarioSpec:
                            f"at level {level!r}",
                     hint=f"valid for {level}: "
                          f"{', '.join(sorted(injectable))}")
-            if self.lanes > 1 and not getattr(spec.simulator_class(),
-                                              "BATCHABLE", False):
-                raise ScenarioError(
-                    "execution.lanes",
-                    f"lanes={self.lanes} needs a batchable backend, "
-                    f"but level {level!r} is not",
-                    hint="the lane engine has arch and rtl "
-                         "backends only; restrict targets.levels or "
-                         "use lanes = 1")
 
     def _level_combos(self):
         """Every (level, structure, mode) combination the grid (plus a

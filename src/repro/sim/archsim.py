@@ -111,11 +111,6 @@ class ArchSim(SimulatorBase):
     #: golden boundary digests (enables campaign early-stop).
     DRAIN_FREE = True
 
-    #: Drain-free, so a checkpoint at any cycle is an exact fork of the
-    #: golden machine: the lane engine walks the golden run once per
-    #: group of instants and forks each fault off it (``repro.batch``).
-    BATCHABLE = True
-
     #: ``_ArchCore.tick`` executes the instruction *then* advances the
     #: cycle, so when a run pauses at a stop cycle the events stamped
     #: with that cycle have not happened yet (unlike the hardware

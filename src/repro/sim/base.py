@@ -89,15 +89,6 @@ class SimulatorBase:
     #: the campaign engine's early-stop convergence check sound there.
     DRAIN_FREE = False
 
-    #: True when the batch-fault lane engine (``repro.batch``) has a
-    #: lane backend for this level: the arch emulator as a
-    #: shared-advance walk forking one checkpoint per injection
-    #: instant, the rtl pipeline as lane arrays over its register
-    #: file/CPSR with drop-to-scalar fallback on control divergence.
-    #: ``execution.lanes > 1`` is rejected at scenario validation for
-    #: levels without a backend (today: uarch).
-    BATCHABLE = False
-
     #: Tick-stamp convention of the access trace: True when a tick
     #: advances the cycle counter *before* doing its work, so that when
     #: ``run(stop_cycle=c)`` pauses at cycle ``c`` the trace events
@@ -535,13 +526,13 @@ class SimulatorBase:
 
         Its own method rather than a :meth:`restore` variant: restore
         rebuilds an empty pipeline, this adopts an in-flight one and
-        re-links it to this simulator's program, a fresh RAM and pinout
-        hook.  Observer listeners stay detached unless a trace is
+        re-links it to this simulator's program, RAM (laid out again in
+        place, so nothing may hold its buffer across a resume) and
+        pinout hook.  Observer listeners stay detached unless a trace is
         recording (as after :meth:`restore`).
         """
-        ram = RAM(self.program.layout.ram_size)
+        ram = self.ram
         ram.restore_delta(base["ram"], waypoint["ram"])
-        self.ram = ram
         core = pickle.loads(waypoint["machine"])
         self._adopt_machine(core)
         core.program = self.program

@@ -1,26 +1,13 @@
-"""Shared data-path logic (barrel shifter, adder, DP ops).
-
-The second half holds the vectorized twins in :mod:`repro.isa.valu`
-(the batch-fault lane engine's data path) to the scalar functions,
-element for element -- the uint32 wraparound, carry and shift-range
-edges are exactly where numpy dtype promotion could silently diverge.
-"""
+"""Shared data-path logic (barrel shifter, adder, DP ops)."""
 
 from hypothesis import given, strategies as st
-import numpy as np
 import pytest
 
-from repro.isa import alu, valu
+from repro.isa import alu
 from repro.isa.flags import Flags
 from repro.isa.instructions import Op, ShiftKind
 
 U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
-U32_ARRAYS = st.lists(U32, min_size=1, max_size=8)
-#: Shift amounts as the scalar path sees them (0..255 after &0xFF),
-#: weighted onto the edge cases the vector arms special-case.
-SHIFT_EDGES = st.sampled_from((0, 1, 31, 32, 33, 64, 255))
-SHIFT_AMOUNTS = st.one_of(SHIFT_EDGES,
-                          st.integers(min_value=0, max_value=255))
 DP_OPS = (Op.AND, Op.EOR, Op.ORR, Op.BIC, Op.MOV, Op.MVN, Op.TST,
           Op.TEQ, Op.ADD, Op.ADC, Op.SUB, Op.SBC, Op.RSB, Op.CMP,
           Op.CMN)
@@ -198,105 +185,3 @@ def test_dp_compute_matches_reference(a, b, nzcv, shifter_carry):
 def test_dp_compute_rejects_non_dp():
     with pytest.raises(ValueError):
         alu.dp_compute(Op.LDR, 0, 0, Flags(), False)
-
-
-# ----------------------------------------------------------------------
-# vectorized twins (repro.isa.valu): element-wise equal to the scalar
-# path on every lane, including the wraparound/carry/shift-range edges
-# ----------------------------------------------------------------------
-
-@given(U32_ARRAYS)
-def test_valu_u32_s32_roundtrip(values):
-    lanes = valu.u32(values)
-    assert lanes.dtype == np.uint32
-    assert valu.u32(valu.s32(values)).tolist() == list(values)
-    assert valu.s32(values).tolist() == [alu.s32(v) for v in values]
-
-
-@given(U32_ARRAYS, SHIFT_AMOUNTS, st.booleans())
-def test_valu_barrel_shift_matches_scalar(values, amount, carry_in):
-    """Every shift kind, one amount across all lanes -- including the
-    UB-prone 0/32/>32 edges the vector arms clamp around."""
-    for kind in ShiftKind:
-        result, carry = valu.barrel_shift(values, kind, amount,
-                                          carry_in)
-        expected = [alu.barrel_shift(v, kind, amount, carry_in)
-                    for v in values]
-        assert result.tolist() == [r for r, _ in expected], (kind, amount)
-        assert carry.tolist() == [c for _, c in expected], (kind, amount)
-
-
-@given(U32_ARRAYS, st.booleans())
-def test_valu_barrel_shift_per_lane_amounts(values, carry_in):
-    """Data-dependent (register-form) shifts: a different amount per
-    lane, drawn to cover every special-case arm at once."""
-    edges = (0, 1, 31, 32, 33, 255)
-    amounts = [edges[i % len(edges)] for i in range(len(values))]
-    for kind in ShiftKind:
-        result, carry = valu.barrel_shift(values, kind,
-                                          np.asarray(amounts), carry_in)
-        expected = [alu.barrel_shift(v, kind, a, carry_in)
-                    for v, a in zip(values, amounts)]
-        assert result.tolist() == [r for r, _ in expected], kind
-        assert carry.tolist() == [c for _, c in expected], kind
-
-
-@given(U32_ARRAYS, U32_ARRAYS, st.booleans())
-def test_valu_add_with_carry_matches_scalar(a, b, carry_in):
-    """Unsigned wraparound, carry-out and signed overflow, lane-wise --
-    the uint64 widening and the sign-bit overflow identity."""
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    result, carry, overflow = valu.add_with_carry(a, b, carry_in)
-    expected = [alu.add_with_carry(x, y, carry_in)
-                for x, y in zip(a, b)]
-    assert result.tolist() == [r for r, _, _ in expected]
-    assert carry.tolist() == [c for _, c, _ in expected]
-    assert overflow.tolist() == [v for _, _, v in expected]
-
-
-def test_valu_add_with_carry_edge_lanes():
-    """The classic wraparound/carry corners in one vector call."""
-    a = [0xFFFFFFFF, 0xFFFFFFFF, 0x7FFFFFFF, 0x80000000, 0]
-    b = [1, 0xFFFFFFFF, 1, 0x80000000, 0]
-    result, carry, overflow = valu.add_with_carry(a, b, False)
-    assert result.tolist() == [0, 0xFFFFFFFE, 0x80000000, 0, 0]
-    assert carry.tolist() == [True, True, False, True, False]
-    assert overflow.tolist() == [False, False, True, True, False]
-
-
-@given(U32_ARRAYS, U32_ARRAYS, st.booleans(), st.booleans(),
-       st.booleans())
-def test_valu_dp_compute_matches_scalar(a, b, c_in, v_in, shifter_carry):
-    """Every data-processing op over random lanes: results and all four
-    computed flags equal the scalar path (flags enter as the component
-    bool arrays the lane engine holds)."""
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    flags = Flags(c=c_in, v=v_in)
-    for op in DP_OPS:
-        result, fn, fz, fc, fv = valu.dp_compute(
-            op, a, b, np.full(n, c_in), np.full(n, v_in), shifter_carry)
-        expected = [alu.dp_compute(op, x, y, flags, shifter_carry)
-                    for x, y in zip(a, b)]
-        assert result.tolist() == [r for r, _ in expected], op
-        assert fn.tolist() == [f.n for _, f in expected], op
-        assert fz.tolist() == [f.z for _, f in expected], op
-        assert fc.tolist() == [f.c for _, f in expected], op
-        assert fv.tolist() == [f.v for _, f in expected], op
-
-
-def test_valu_dp_compute_rejects_non_dp():
-    with pytest.raises(ValueError):
-        valu.dp_compute(Op.LDR, np.zeros(2, np.uint32),
-                        np.zeros(2, np.uint32), False, False, False)
-
-
-@given(U32_ARRAYS, U32_ARRAYS, U32_ARRAYS)
-def test_valu_multiply_matches_scalar(a, b, acc):
-    n = min(len(a), len(b), len(acc))
-    a, b, acc = a[:n], b[:n], acc[:n]
-    for op in (Op.MUL, Op.MLA):
-        result = valu.multiply(op, a, b, acc)
-        assert result.tolist() == [alu.multiply(op, x, y, z)
-                                   for x, y, z in zip(a, b, acc)], op

@@ -80,30 +80,3 @@ def test_cond_code_table_order():
     assert COND_CODES[0] == "eq"
     assert COND_CODES[14] == "al"
     assert len(COND_CODES) == 15
-
-
-# ----------------------------------------------------------------------
-# vectorized twin (repro.isa.valu.cond_passed): the lane engine's
-# condition evaluation must agree with the scalar path on every lane
-# ----------------------------------------------------------------------
-
-def test_valu_cond_passed_matches_scalar_exhaustively():
-    """All 15 condition codes x all 16 flag states, as one vector call
-    per code with the 16 states as lanes."""
-    from repro.isa import valu
-
-    n = [f.n for f in ALL_FLAG_COMBOS]
-    z = [f.z for f in ALL_FLAG_COMBOS]
-    c = [f.c for f in ALL_FLAG_COMBOS]
-    v = [f.v for f in ALL_FLAG_COMBOS]
-    for cond in range(15):
-        lanes = valu.cond_passed(cond, n, z, c, v)
-        expected = [cond_passed(cond, flags) for flags in ALL_FLAG_COMBOS]
-        assert lanes.tolist() == expected, COND_CODES[cond]
-
-
-def test_valu_invalid_cond_raises():
-    from repro.isa import valu
-
-    with pytest.raises(ValueError):
-        valu.cond_passed(15, [False], [False], [False], [False])

@@ -28,7 +28,7 @@ from repro.scenario.spec import load_scenario
 FIXTURE = pathlib.Path(__file__).with_name("knob_table.json")
 BENCH_WORKLOADS = pathlib.Path(__file__).parents[1] / "bench" / "workloads"
 #: One combination of every value-taking ``run`` flag, applied to a
-#: single-level scenario (lanes > 1 needs a batchable level).
+#: single-level scenario.
 FLAG_ARGV = ("--jobs", "2", "--lanes", "8", "--prune", "static",
              "--retries", "3", "--store", "x", "--resume")
 FLAG_CASES = {

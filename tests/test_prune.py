@@ -552,6 +552,22 @@ def test_register_goldens_capture_what_they_did(monkeypatch):
     assert campaign("l1d.tag")._capture_shape() == ("l1d", False)
     assert campaign("l1d.data", prune_mode="off")._capture_shape() == \
         (False, False)
+    assert campaign("l1i.data")._capture_shape() == (False, False)
+
+
+@pytest.mark.parametrize("level", sorted(L1D_MODES))
+def test_l1i_dead_mode_captures_no_trace(level):
+    """No lifetime trace decides an l1i.* fault, so a dead-mode l1i
+    campaign captures none, and its records are the prune=off records
+    (it never pruned one)."""
+    from support import record_keys
+
+    frontend = registry.create_frontend(level, "sha")
+    off, dead = (frontend.campaign("l1i.data", "pinout", samples=8,
+                                   seed=SEED, prune_mode=prune_mode)
+                 for prune_mode in ("off", "dead"))
+    assert dead.pruned_count == 0
+    assert record_keys(dead) == record_keys(off)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ forwarding, renaming or bypass behaviour fails here.
 
 The second half turns the same generator against the lane engine
 (``repro.batch``): random fault batches over random programs must
-classify bit-identically to the scalar campaign path, on both lane
-backends (the arch shared-advance walk and rtl pipeline lanes).
+classify bit-identically to the scalar campaign path, on the arch and
+rtl tiers (the lane walk forking at checkpoints and at in-flight
+waypoints).
 """
 
 from hypothesis import given, settings, strategies as st

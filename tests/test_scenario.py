@@ -715,23 +715,14 @@ def test_retries_and_batch_timeout_validated():
         assert err.value.field == "execution.batch_timeout"
 
 
-def test_lanes_rejected_on_non_batchable_levels():
-    """The lane engine vectorizes the arch and rtl tiers: a spec asking
-    for ``lanes > 1`` on uarch fails validation naming the field."""
-    with pytest.raises(ScenarioError) as err:
-        make_spec(targets={"levels": ["uarch"],
-                           "workloads": ["stringsearch"]},
-                  execution={"lanes": 8})
-    assert err.value.field == "execution.lanes"
-    assert "uarch" in str(err.value)
-    # lanes=1 is fine anywhere, lanes=8 is fine on the batchable tiers.
-    make_spec(targets={"levels": ["uarch", "rtl"],
-                       "workloads": ["stringsearch"]},
-              execution={"lanes": 1})
-    make_spec(targets={"levels": ["rtl"],
-                       "workloads": ["stringsearch"]},
-              execution={"lanes": 8})
-    make_spec(execution={"lanes": 8})
+def test_lanes_accepted_on_every_level():
+    """The lane walk serves every tier: ``lanes = 8`` validates on each
+    level, alone and together, and still reaches the campaign config."""
+    for levels in (["arch"], ["uarch"], ["rtl"], ["arch", "uarch", "rtl"]):
+        spec = make_spec(targets={"levels": levels,
+                                  "workloads": ["stringsearch"]},
+                         execution={"lanes": 8})
+        assert {cell.lanes for cell in spec.cells()} == {8}
 
 
 # ----------------------------------------------------------------------

@@ -116,13 +116,9 @@ def parse_batch_speedup(text):
         "lanes": rf"lanes={_FLOAT}",
         "scalar faulty-phase cycles":
             rf"scalar \(lanes=1\):\s+{_FLOAT} faulty-phase",
-        "batched global stepped cycles":
-            rf"batched \(lanes=\d+\):\s+{_FLOAT} (?:global )?stepped",
+        "batched stepped cycles":
+            rf"batched \(lanes=\d+\):\s+{_FLOAT} stepped",
         "cycle speedup x": rf"speedup: {_FLOAT}x simulated cycles",
-        "peak lane COW bytes":
-            rf"peak lane memory: {_FLOAT} COW bytes",
-        "peak lane vs dense x":
-            rf"dense \(\(lanes\+1\) x ram\) -> {_FLOAT}x",
     })
 
 
